@@ -221,40 +221,40 @@ _SELFTEST_GRIDS = (
 
 
 def _selftest_structural():
-    checks = 0
+    """Yield (invariant, holds) for each structural invariant."""
     for n in range(2, 41):
-        assert qint_factorization_check(n)
-        checks += 1
+        yield (f"[{n}] is the product of its cyclotomic factors",
+               qint_factorization_check(n))
     for n in range(1, 13):
-        assert schroder_poly(n) == w_alpha_poly(n, 1)
-        sym = w_alpha_poly(n, 1).affine_subst(-1, -1)
-        expect = w_alpha_poly(n, 1) * (1 if (n - 1) % 2 == 0 else -1)
-        assert sym == expect
-        checks += 2
+        w = w_alpha_poly(n, 1)
+        yield f"schroder_poly({n}) == w_alpha_poly({n}, 1)", \
+            schroder_poly(n) == w
+        yield f"w_alpha_poly({n}, 1) at x -> -1-x is (-1)^{n - 1} times it", \
+            w.affine_subst(-1, -1) == w * (-1) ** (n - 1)
     for k in range(1, 11):
         for alpha in (1, 2):
-            assert q_w_poly(k, alpha).eval_q_one() == w_alpha_poly(k, alpha)
-            checks += 1
+            yield f"q_w_poly({k}, {alpha}) at q = 1 is w_alpha_poly", \
+                q_w_poly(k, alpha).eval_q_one() == w_alpha_poly(k, alpha)
     for k in range(1, 9):
-        assert q_w_poly_alt(k, 2) == q_w_poly(k, 2)
-        checks += 1
-    for sample in (w_alpha_poly(7, 2), XPoly((3, 0, -2))):
-        assert XPoly.parse(str(sample)) == sample
-        checks += 1
-    for sample in (q_w_poly(5, 1), q_integer(-3), q_binomial(-4, 3)):
-        assert QLaurent.parse(str(sample)) == sample
-        checks += 1
-    return checks
+        yield f"q_w_poly_alt({k}, 2) == q_w_poly({k}, 2)", \
+            q_w_poly_alt(k, 2) == q_w_poly(k, 2)
+    for sample in (w_alpha_poly(7, 2), XPoly((3, 0, -2)), q_w_poly(5, 1),
+                   q_integer(-3), q_binomial(-4, 3)):
+        yield f"{type(sample).__name__}.parse round trip of {sample}", \
+            type(sample).parse(str(sample)) == sample
 
 
 def _selftest():
     failures = 0
-    try:
-        checks = _selftest_structural()
+    checks = 0
+    for invariant, holds in _selftest_structural():
+        if not holds:
+            print(f"FAIL structural: {invariant}")
+            failures += 1
+            break
+        checks += 1
+    else:
         print(f"ok structural ({checks} checks)")
-    except AssertionError as exc:
-        print(f"FAIL structural: {exc}")
-        failures += 1
     for statement, ranges in _SELFTEST_GRIDS:
         spec = GridSpec(statement=statement, ranges=ranges, workers=1,
                         count=150)

@@ -69,89 +69,43 @@ def _check_positive(**kwargs):
             raise ValueError(f"{name} must be >= 1, got {value}")
 
 
-class _Accumulator:
-    """Mutable x-outer slice table for summing many QLaurent terms."""
-
-    __slots__ = ("table",)
-
-    def __init__(self):
-        self.table: dict[int, list] = {}
-
-    def add(self, value):
-        for d, s in enumerate(value._slices):
-            if s is None:
-                continue
-            qmin, cs = s
-            cur = self.table.get(d)
-            if cur is None:
-                self.table[d] = [qmin, list(cs)]
-                continue
-            lo = min(cur[0], qmin)
-            hi = max(cur[0] + len(cur[1]), qmin + len(cs))
-            run = cur[1]
-            if lo != cur[0] or hi != cur[0] + len(run):
-                grown = [0] * (hi - lo)
-                grown[cur[0] - lo:cur[0] - lo + len(run)] = run
-                run = grown
-                cur[0] = lo
-                cur[1] = run
-            off = qmin - lo
-            seg = run[off:off + len(cs)]
-            run[off:off + len(cs)] = [x + y for x, y in zip(seg, cs)]
-
-    def value(self):
-        if not self.table:
-            return QLaurent.zero()
-        nx = max(self.table) + 1
-        return QLaurent(tuple(
-            tuple(self.table[d]) if d in self.table else None
-            for d in range(nx)))
-
-
 def qsum_plain(n, alpha, m, r):
     """Sum over k = 0..n-1 of [k(k+1)]^r [2k+1] q^((n-1-k)(alpha*m+1))
     times the m-th power of the q-analogue w-polynomial."""
     _check_positive(n=n, alpha=alpha, m=m, r=r)
-    acc = _Accumulator()
-    for k in range(n):
-        if k == 0:
-            continue  # [0] = 0
-        term = (_w_power(k, alpha, m)
-                .mul_qint_power(k * (k + 1), r)
-                .mul_qint_power(2 * k + 1))
-        acc.add(term.shift_q((n - 1 - k) * (alpha * m + 1)))
-    return acc.value()
+    return QLaurent.sum(    # k = 0 drops out: [0] = 0
+        _w_power(k, alpha, m)
+        .mul_qint_power(k * (k + 1), r)
+        .mul_qint_power(2 * k + 1)
+        .shift_q((n - 1 - k) * (alpha * m + 1))
+        for k in range(1, n))
 
 
 def qsum_alternating(n, alpha, m, r):
     """Alternating variant: (-1)^k, the k(k+1) weight taken at q^2, the
     w-polynomial at q^2, and shift exponent (n-1-k)(2*alpha*m+1)."""
     _check_positive(n=n, alpha=alpha, m=m, r=r)
-    acc = _Accumulator()
-    for k in range(n):
-        if k == 0:
-            continue
-        term = (_w_power_q2(k, alpha, m)
-                .mul_qint_power(k * (k + 1), r, stride=2)
-                .mul_qint_power(2 * k + 1))
-        term = term.shift_q((n - 1 - k) * (2 * alpha * m + 1))
-        acc.add(-term if k & 1 else term)
-    return acc.value()
+
+    def term(k):
+        value = (_w_power_q2(k, alpha, m)
+                 .mul_qint_power(k * (k + 1), r, stride=2)
+                 .mul_qint_power(2 * k + 1)
+                 .shift_q((n - 1 - k) * (2 * alpha * m + 1)))
+        return -value if k & 1 else value
+
+    return QLaurent.sum(map(term, range(1, n)))
 
 
 def qsum_product(n, alpha, m, r):
     """Neighbour-product variant: weights [k(k+2)]^r [2(k+1)], summand
     (w_k w_{k+1})^m, shift exponent (n-2-k)(2*alpha*m+1)."""
     _check_positive(n=n, alpha=alpha, m=m, r=r)
-    acc = _Accumulator()
-    for k in range(n):
-        if k == 0:
-            continue  # [k(k+2)] = 0
-        term = (_w_run(k, alpha, m, 2)
-                .mul_qint_power(k * (k + 2), r)
-                .mul_qint_power(2 * (k + 1)))
-        acc.add(term.shift_q((n - 2 - k) * (2 * alpha * m + 1)))
-    return acc.value()
+    return QLaurent.sum(    # k = 0 drops out: [k(k+2)] = 0
+        _w_run(k, alpha, m, 2)
+        .mul_qint_power(k * (k + 2), r)
+        .mul_qint_power(2 * (k + 1))
+        .shift_q((n - 2 - k) * (2 * alpha * m + 1))
+        for k in range(1, n))
 
 
 def qsum_general(n, alpha, beta, m, r):
@@ -159,16 +113,13 @@ def qsum_general(n, alpha, beta, m, r):
     summand the product of 2*beta consecutive w powers, shift exponent
     (n-2*beta-k)(2*beta*alpha*m+1)."""
     _check_positive(n=n, alpha=alpha, beta=beta, m=m, r=r)
-    acc = _Accumulator()
-    for k in range(n):
-        ww = rising_factorial(k, beta) * rising_factorial(k + beta + 1, beta)
-        if ww == 0:
-            continue  # only k = 0
-        term = (_w_run(k, alpha, m, 2 * beta)
-                .mul_qint_power(ww, r)
-                .mul_qint_power(2 * (k + beta)))
-        acc.add(term.shift_q((n - 2 * beta - k) * (2 * beta * alpha * m + 1)))
-    return acc.value()
+    return QLaurent.sum(    # k = 0 drops out: (0)_beta = 0
+        _w_run(k, alpha, m, 2 * beta)
+        .mul_qint_power(rising_factorial(k, beta)
+                        * rising_factorial(k + beta + 1, beta), r)
+        .mul_qint_power(2 * (k + beta))
+        .shift_q((n - 2 * beta - k) * (2 * beta * alpha * m + 1))
+        for k in range(1, n))
 
 
 def verify_divisible_by_qn(value, n, statement="mod-qn", params=None):
@@ -208,16 +159,91 @@ def _cyclotomic_product_factors(n):
     return out
 
 
-def _int_plain_quotient(n, alpha, m, r, sign, fault=False):
-    acc = XPoly()
-    for k in range(1, n + 1):
-        c = k ** r * (k + 1) ** r * (2 * k + 1)
-        if sign == "alternating" and k & 1:
-            c = -c
-        acc = acc + _wx_power(k, alpha, m) * c
+_TWO_X_PLUS_ONE = XPoly((1, 2))
+
+
+def _triple(n):
+    return n * (n + 1) * (n + 2)
+
+
+def _plain_sum(n, alpha, m, r, sign):
+    # sum over k = 1..n of sign^k [k(k+1)]^r (2k+1) w_k^(alpha, m)
+    return sum((_wx_power(k, alpha, m)
+                * (sign ** k * (k * (k + 1)) ** r * (2 * k + 1))
+                for k in range(1, n + 1)), XPoly())
+
+
+def _window_sum(n, alpha, beta, m, r):
+    # sum over k = 1..n of [(k)_beta (k+beta+1)_beta]^r (k+beta) times the
+    # product of 2*beta consecutive w powers
+    return sum((_wx_run(k, alpha, m, 2 * beta)
+                * (rising_factorial(k, beta) ** r
+                   * rising_factorial(k + beta + 1, beta) ** r * (k + beta))
+                for k in range(1, n + 1)), XPoly())
+
+
+def _by_triple(acc, p):
+    # gcd(2,n) times the sum, divided by n(n+1)(n+2)
+    return (acc * math.gcd(2, p["n"])).divexact(_triple(p["n"]))
+
+
+def _by_two_x_plus_one(acc, power, n):
+    # divide by (2x+1)^power, then 2*gcd(2,n) times that by n(n+1)(n+2)
+    quot = acc.divexact(_TWO_X_PLUS_ONE ** power)
+    if isinstance(quot, DivisionWitness):
+        return quot
+    return (quot * (2 * math.gcd(2, n))).divexact(_triple(n))
+
+
+# integer-side statement -> (its XPoly sum, the exact division that decides
+# it); both take the cell's parameters
+_DIVISIONS = {
+    "thm-int-plain": (lambda p: _plain_sum(sign=1, **p), _by_triple),
+    "thm-int-alternating": (lambda p: _plain_sum(sign=-1, **p), _by_triple),
+    "thm-int-lcm": (
+        lambda p: _window_sum(**p),
+        lambda acc, p: (acc * 2).divexact(
+            lcm_range(p["n"], p["n"] + 2 * p["beta"] + 1))),
+    "conj-52-even": (
+        lambda p: _plain_sum(r=1, sign=-1, **p),
+        lambda acc, p: acc.divexact(_triple(p["n"]))),
+    # conj-54 sums the neighbour products k(k+1)(k+2) (w_k w_(k+1))^m
+    "conj-54-ii": (
+        lambda p: _window_sum(alpha=1, beta=1, r=1, **p),
+        lambda acc, p: _by_two_x_plus_one(acc, p["m"], p["n"])),
+    "conj-54-iii": (
+        lambda p: _window_sum(alpha=1, beta=1, m=1, r=1, **p),
+        lambda acc, p: _by_two_x_plus_one(acc, 3, p["n"])),
+}
+
+
+def _divide(statement, params, fault):
+    """Exact quotient of an integer-side statement's sum, or the obstruction
+    witness; fault adds one to the sum first."""
+    build, divide = _DIVISIONS[statement]
+    acc = build(params)
     if fault:
         acc = acc + 1
-    return (acc * math.gcd(2, n)).divexact(n * (n + 1) * (n + 2))
+    return divide(acc, params)
+
+
+def _division_verdict(statement, params, fault=False):
+    quot = _divide(statement, params, fault)
+    failed = isinstance(quot, DivisionWitness)
+    status = "conjecture-empirical" if statement.startswith("conj-") else None
+    return Verdict(statement, params, not failed,
+                   str(quot) if failed else None, status=status)
+
+
+_INT_PLAIN_IDS = {"plus": "thm-int-plain",
+                  "alternating": "thm-int-alternating"}
+
+
+def _int_plain_instance(n, alpha, m, r, sign):
+    _check_positive(n=n, alpha=alpha, m=m, r=r)
+    if sign not in _INT_PLAIN_IDS:
+        raise ValueError(f"sign must be plus or alternating, got {sign!r}")
+    return _INT_PLAIN_IDS[sign], {"n": n, "alpha": alpha, "m": m, "r": r}
 
 
 def int_sum_plain_quotient(n, alpha, m, r, sign="plus"):
@@ -226,122 +252,59 @@ def int_sum_plain_quotient(n, alpha, m, r, sign="plus"):
     Builds gcd(2,n) times the weighted sum of w powers at q = 1 and divides
     by n(n+1)(n+2) exactly.
     """
-    _check_positive(n=n, alpha=alpha, m=m, r=r)
-    if sign not in ("plus", "alternating"):
-        raise ValueError(f"sign must be plus or alternating, got {sign!r}")
-    return _int_plain_quotient(n, alpha, m, r, sign)
+    return _divide(*_int_plain_instance(n, alpha, m, r, sign), False)
 
 
 def int_sum_plain(n, alpha, m, r, sign="plus"):
-    quot = int_sum_plain_quotient(n, alpha, m, r, sign)
-    statement = "thm-int-plain" if sign == "plus" else "thm-int-alternating"
-    params = {"n": n, "alpha": alpha, "m": m, "r": r}
-    if isinstance(quot, DivisionWitness):
-        return Verdict(statement, params, False, str(quot))
-    return Verdict(statement, params, True, None)
+    return _division_verdict(*_int_plain_instance(n, alpha, m, r, sign))
 
 
-def _int_lcm_quotient(n, alpha, beta, m, r, fault=False):
-    acc = XPoly()
-    for k in range(1, n + 1):
-        c = (rising_factorial(k, beta) ** r
-             * rising_factorial(k + beta + 1, beta) ** r
-             * (k + beta))
-        acc = acc + _wx_run(k, alpha, m, 2 * beta) * c
-    if fault:
-        acc = acc + 1
-    return (acc * 2).divexact(lcm_range(n, n + 2 * beta + 1))
+def _int_lcm_instance(n, alpha, beta, m, r):
+    _check_positive(n=n, alpha=alpha, beta=beta, m=m, r=r)
+    return "thm-int-lcm", {"n": n, "alpha": alpha, "beta": beta, "m": m,
+                           "r": r}
 
 
 def int_sum_lcm_quotient(n, alpha, beta, m, r):
     """Quotient of twice the windowed sum by lcm(n..n+2*beta+1), or the
     obstruction witness."""
-    _check_positive(n=n, alpha=alpha, beta=beta, m=m, r=r)
-    return _int_lcm_quotient(n, alpha, beta, m, r)
+    return _divide(*_int_lcm_instance(n, alpha, beta, m, r), False)
 
 
 def int_sum_lcm(n, alpha, beta, m, r):
-    quot = int_sum_lcm_quotient(n, alpha, beta, m, r)
-    params = {"n": n, "alpha": alpha, "beta": beta, "m": m, "r": r}
-    if isinstance(quot, DivisionWitness):
-        return Verdict("thm-int-lcm", params, False, str(quot))
-    return Verdict("thm-int-lcm", params, True, None)
+    return _division_verdict(*_int_lcm_instance(n, alpha, beta, m, r))
 
 
-_TWO_X_PLUS_ONE = XPoly((1, 2))
-
-
-def _conjecture_quotient(variant, n, alpha, m, fault=False):
+def _conjecture_instance(variant, n, alpha, m):
+    _check_positive(n=n, m=m)
     if variant == "c52_eq14_even_n":
         if alpha <= 1:
             raise ValueError("this variant is stated for alpha > 1")
         if n % 2:
             raise ValueError("this variant is stated for even n")
-        acc = XPoly()
-        for k in range(1, n + 1):
-            c = k * (k + 1) * (2 * k + 1)
-            acc = acc + _wx_power(k, alpha, m) * (-c if k & 1 else c)
-        if fault:
-            acc = acc + 1
-        return acc.divexact(n * (n + 1) * (n + 2))
+        return "conj-52-even", {"n": n, "alpha": alpha, "m": m}
     if variant == "c54_ii":
         if alpha != 1:
             raise ValueError("this variant is stated for alpha = 1")
-        acc = XPoly()
-        for k in range(1, n + 1):
-            acc = acc + _wx_run(k, 1, m, 2) * (k * (k + 1) * (k + 2))
-        if fault:
-            acc = acc + 1
-        quot = acc.divexact(_TWO_X_PLUS_ONE ** m)
-        if isinstance(quot, DivisionWitness):
-            return quot
-        return (quot * (2 * math.gcd(2, n))).divexact(n * (n + 1) * (n + 2))
+        return "conj-54-ii", {"n": n, "m": m}
     if variant == "c54_iii":
         if alpha != 1 or m != 1:
             raise ValueError("this variant fixes alpha = m = 1")
         if n % 2:
             raise ValueError("this variant is stated for even n")
-        acc = XPoly()
-        for k in range(1, n + 1):
-            acc = acc + _wx_run(k, 1, 1, 2) * (k * (k + 1) * (k + 2))
-        if fault:
-            acc = acc + 1
-        quot = acc.divexact(_TWO_X_PLUS_ONE ** 3)
-        if isinstance(quot, DivisionWitness):
-            return quot
-        return (quot * 4).divexact(n * (n + 1) * (n + 2))
+        return "conj-54-iii", {"n": n}
     raise ValueError(f"unknown conjecture variant {variant!r}")
-
-
-_CONJECTURE_IDS = {
-    "c52_eq14_even_n": "conj-52-even",
-    "c54_ii": "conj-54-ii",
-    "c54_iii": "conj-54-iii",
-}
 
 
 def conjecture_quotient(variant, n, alpha=1, m=1):
     """Quotient polynomial for a conjecture instance, or the obstruction."""
-    _check_positive(n=n, m=m)
-    return _conjecture_quotient(variant, n, alpha, m)
+    return _divide(*_conjecture_instance(variant, n, alpha, m), False)
 
 
 def conjecture_checks(variant, n, alpha=1, m=1):
     """Empirical check of one conjecture instance; the Verdict is tagged
     with status conjecture-empirical to keep it apart from proved facts."""
-    quot = conjecture_quotient(variant, n, alpha, m)
-    statement = _CONJECTURE_IDS[variant]
-    if variant == "c52_eq14_even_n":
-        params = {"n": n, "alpha": alpha, "m": m}
-    elif variant == "c54_ii":
-        params = {"n": n, "m": m}
-    else:
-        params = {"n": n}
-    if isinstance(quot, DivisionWitness):
-        return Verdict(statement, params, False, str(quot),
-                       status="conjecture-empirical")
-    return Verdict(statement, params, True, None,
-                   status="conjecture-empirical")
+    return _division_verdict(*_conjecture_instance(variant, n, alpha, m))
 
 
 @dataclass(frozen=True)
@@ -363,65 +326,19 @@ class GridSpec:
     timing: bool = False
 
 
-def _run_qsum_plain(p, fault):
-    value = qsum_plain(p["n"], p["alpha"], p["m"], p["r"])
-    if fault:
-        value = value + QLaurent.one()
-    return [verify_divisible_by_qn(value, p["n"], "thm-qsum-plain", p)]
-
-
-def _run_qsum_alternating(p, fault):
-    value = qsum_alternating(p["n"], p["alpha"], p["m"], p["r"])
-    if fault:
-        value = value + QLaurent.one()
-    return [verify_cyclotomic_product(value, p["n"], "thm-qsum-alternating", p)]
-
-
-def _run_qsum_product(p, fault):
-    value = qsum_product(p["n"], p["alpha"], p["m"], p["r"])
-    if fault:
-        value = value + QLaurent.one()
-    return [verify_divisible_by_qn(value, p["n"], "thm-qsum-product", p)]
-
-
-def _run_qsum_general(p, fault):
-    value = qsum_general(p["n"], p["alpha"], p["beta"], p["m"], p["r"])
-    if fault:
-        value = value + QLaurent.one()
-    return [verify_divisible_by_qn(value, p["n"], "thm-qsum-general", p)]
-
-
-def _run_int_plain(sign):
+def _qsum_runner(statement, build, decide):
+    """Cell runner of a q-sum statement: build the value, add the fault
+    (+1) if asked, and decide its divisibility."""
     def run(p, fault):
-        quot = _int_plain_quotient(p["n"], p["alpha"], p["m"], p["r"], sign,
-                                   fault)
-        statement = ("thm-int-plain" if sign == "plus"
-                     else "thm-int-alternating")
-        if isinstance(quot, DivisionWitness):
-            return [Verdict(statement, p, False, str(quot))]
-        return [Verdict(statement, p, True, None)]
+        value = build(p)
+        if fault:
+            value = value + QLaurent.one()
+        return [decide(value, p["n"], statement, p)]
     return run
 
 
-def _run_int_lcm(p, fault):
-    quot = _int_lcm_quotient(p["n"], p["alpha"], p["beta"], p["m"], p["r"],
-                             fault)
-    if isinstance(quot, DivisionWitness):
-        return [Verdict("thm-int-lcm", p, False, str(quot))]
-    return [Verdict("thm-int-lcm", p, True, None)]
-
-
-def _run_conjecture(variant):
-    def run(p, fault):
-        quot = _conjecture_quotient(variant, p["n"], p.get("alpha", 1),
-                                    p.get("m", 1), fault)
-        statement = _CONJECTURE_IDS[variant]
-        if isinstance(quot, DivisionWitness):
-            return [Verdict(statement, p, False, str(quot),
-                            status="conjecture-empirical")]
-        return [Verdict(statement, p, True, None,
-                        status="conjecture-empirical")]
-    return run
+def _division_runner(statement):
+    return lambda p, fault: [_division_verdict(statement, p, fault)]
 
 
 def _run_lemma23(p, fault):
@@ -476,21 +393,32 @@ _QSUM_PARAMS = (("n", 2, None), ("alpha", 1, (1, 1)), ("m", 1, (1, 1)),
 _INT_PARAMS = (("n", 1, None), ("alpha", 1, (1, 1)), ("m", 1, (1, 1)),
                ("r", 1, (1, 1)))
 
+# The q-sum runners look up qsum_* and verify_* in this module's globals when
+# a cell runs, not when the table is built, so that rebinding those names
+# (as perfbench/layertrace.py does) reaches every cell.
 STATEMENTS = {
-    "thm-qsum-plain": _Statement(_QSUM_PARAMS, _run_qsum_plain),
-    "thm-qsum-alternating": _Statement(_QSUM_PARAMS, _run_qsum_alternating),
-    "thm-qsum-product": _Statement(_QSUM_PARAMS, _run_qsum_product),
+    "thm-qsum-plain": _Statement(_QSUM_PARAMS, _qsum_runner(
+        "thm-qsum-plain", lambda p: qsum_plain(**p),
+        lambda *args: verify_divisible_by_qn(*args))),
+    "thm-qsum-alternating": _Statement(_QSUM_PARAMS, _qsum_runner(
+        "thm-qsum-alternating", lambda p: qsum_alternating(**p),
+        lambda *args: verify_cyclotomic_product(*args))),
+    "thm-qsum-product": _Statement(_QSUM_PARAMS, _qsum_runner(
+        "thm-qsum-product", lambda p: qsum_product(**p),
+        lambda *args: verify_divisible_by_qn(*args))),
     "thm-qsum-general": _Statement(
         (("n", 2, None), ("alpha", 1, (1, 1)), ("beta", 1, (1, 1)),
          ("m", 1, (1, 1)), ("r", 1, (1, 1))),
-        _run_qsum_general),
-    "thm-int-plain": _Statement(_INT_PARAMS, _run_int_plain("plus")),
-    "thm-int-alternating": _Statement(_INT_PARAMS,
-                                      _run_int_plain("alternating")),
+        _qsum_runner("thm-qsum-general", lambda p: qsum_general(**p),
+                     lambda *args: verify_divisible_by_qn(*args))),
+    "thm-int-plain": _Statement(_INT_PARAMS,
+                                _division_runner("thm-int-plain")),
+    "thm-int-alternating": _Statement(
+        _INT_PARAMS, _division_runner("thm-int-alternating")),
     "thm-int-lcm": _Statement(
         (("n", 1, None), ("alpha", 1, (1, 1)), ("beta", 1, (1, 1)),
          ("m", 1, (1, 1)), ("r", 1, (1, 1))),
-        _run_int_lcm),
+        _division_runner("thm-int-lcm")),
     "lemma-23": _Statement(
         (("a", 0, (0, 3)), ("b", 0, (0, 8)), ("d", 3, (3, 10)),
          ("alpha", 1, (1, 2))),
@@ -506,14 +434,14 @@ STATEMENTS = {
         cell_filter=lambda p: p["m"] <= p["n"]),
     "conj-52-even": _Statement(
         (("n", 1, None), ("alpha", 2, (2, 2)), ("m", 1, (1, 1))),
-        _run_conjecture("c52_eq14_even_n"),
+        _division_runner("conj-52-even"),
         cell_filter=lambda p: p["n"] % 2 == 0),
     "conj-54-ii": _Statement(
         (("n", 1, None), ("m", 1, (1, 1))),
-        _run_conjecture("c54_ii")),
+        _division_runner("conj-54-ii")),
     "conj-54-iii": _Statement(
         (("n", 1, None),),
-        _run_conjecture("c54_iii"),
+        _division_runner("conj-54-iii"),
         cell_filter=lambda p: p["n"] % 2 == 0),
 }
 
@@ -589,6 +517,8 @@ def grid_verify(spec):
             f"statement {spec.statement!r} does not support fault injection")
     if spec.count < 0:
         raise GridError("count must be nonnegative")
+    if spec.workers < 0:
+        raise GridError("workers must be nonnegative")
     cells = _enumerate_cells(spec, schema)
 
     def run_cell(params):

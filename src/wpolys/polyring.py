@@ -1,8 +1,9 @@
 """Exact dense polynomial arithmetic over the integers.
 
 Three value types live here.  XPoly is Z[x], QPoly is Z[q] (used for moduli
-such as cyclotomic polynomials), and QLaurent is a Laurent polynomial in q
-whose coefficients are integer polynomials in x.  Everything is immutable
+such as cyclotomic polynomials), both on one dense implementation, and
+QLaurent is a Laurent polynomial in q whose coefficients are integer
+polynomials in x.  Everything is immutable
 after construction and all arithmetic is exact.
 
 Coefficient convolution switches to Kronecker substitution once operands are
@@ -281,24 +282,25 @@ def _parse_terms(text, var):
     return coeffs
 
 
-class XPoly:
-    """Dense integer polynomial in x."""
+class _DensePoly:
+    """Dense integer polynomial in one variable, named by the subclass.
+
+    Values of different subclasses never mix: arithmetic between them raises
+    TypeError and they compare unequal.
+    """
 
     __slots__ = ("coeffs",)
+    var = ""
 
     def __init__(self, coeffs=()):
         object.__setattr__(self, "coeffs", tuple(_trim(list(coeffs))))
 
     def __setattr__(self, *_):
-        raise AttributeError("XPoly is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @classmethod
     def const(cls, c):
         return cls((c,))
-
-    @classmethod
-    def x(cls):
-        return cls((0, 1))
 
     def is_zero(self):
         return not self.coeffs
@@ -307,13 +309,16 @@ class XPoly:
         """Degree, with -1 for the zero polynomial."""
         return len(self.coeffs) - 1
 
+    def is_monic(self):
+        return bool(self.coeffs) and self.coeffs[-1] == 1
+
     def __bool__(self):
         return bool(self.coeffs)
 
     def __eq__(self, other):
         if isinstance(other, int):
-            return self.coeffs == XPoly.const(other).coeffs
-        if isinstance(other, XPoly):
+            return self.coeffs == type(self).const(other).coeffs
+        if isinstance(other, type(self)):
             return self.coeffs == other.coeffs
         return NotImplemented
 
@@ -324,7 +329,7 @@ class XPoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return XPoly(_add_lists(self.coeffs, other.coeffs))
+        return type(self)(_add_lists(self.coeffs, other.coeffs))
 
     __radd__ = __add__
 
@@ -332,30 +337,29 @@ class XPoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return XPoly(_sub_lists(self.coeffs, other.coeffs))
+        return type(self)(_sub_lists(self.coeffs, other.coeffs))
 
     def __rsub__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return XPoly(_sub_lists(other.coeffs, self.coeffs))
+        return type(self)(_sub_lists(other.coeffs, self.coeffs))
 
     def __neg__(self):
-        return XPoly([-c for c in self.coeffs])
+        return type(self)([-c for c in self.coeffs])
 
     def __mul__(self, other):
+        cls = type(self)
         if isinstance(other, int):
-            return XPoly([other * c for c in self.coeffs])
-        if isinstance(other, XPoly):
-            return XPoly(_convolve(self.coeffs, other.coeffs))
+            return cls([other * c for c in self.coeffs])
+        if isinstance(other, cls):
+            return cls(_convolve(self.coeffs, other.coeffs))
         return NotImplemented
-
-    __rmul__ = __mul__
 
     def __pow__(self, n):
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result = XPoly.const(1)
+        result = type(self).const(1)
         base = self
         while n:
             if n & 1:
@@ -365,22 +369,65 @@ class XPoly:
                 base = base * base
         return result
 
-    @staticmethod
-    def _coerce(other):
+    def _coerce(self, other):
         if isinstance(other, int):
-            return XPoly.const(other)
-        if isinstance(other, XPoly):
+            return type(self).const(other)
+        if isinstance(other, type(self)):
             return other
         return NotImplemented
 
     def coeff(self, e):
         return self.coeffs[e] if 0 <= e < len(self.coeffs) else 0
 
-    def evaluate(self, x0):
+    def evaluate(self, v0):
         acc = 0
         for c in reversed(self.coeffs):
-            acc = acc * x0 + c
+            acc = acc * v0 + c
         return acc
+
+    def divexact(self, other):
+        """Exact quotient self/other, or the DivisionWitness obstructing it."""
+        other = self._coerce(other)
+        if other is NotImplemented:
+            raise TypeError(f"{type(self).__name__} divides only by its own "
+                            "type or an int")
+        q, witness = _divexact_lists(self.coeffs, other.coeffs)
+        if witness is not None:
+            return witness
+        return type(self)(q)
+
+    def __str__(self):
+        return _format_terms(enumerate(self.coeffs), self.var)
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self})"
+
+    @classmethod
+    def parse(cls, text):
+        """Inverse of __str__."""
+        table = _parse_terms(text, cls.var)
+        if any(e < 0 for e in table):
+            raise ValueError(
+                f"negative exponent in {cls.__name__} text: {text!r}")
+        coeffs = [0] * (max(table) + 1 if table else 0)
+        for e, c in table.items():
+            coeffs[e] = c
+        return cls(coeffs)
+
+
+class XPoly(_DensePoly):
+    """Dense integer polynomial in x."""
+
+    __slots__ = ()
+    var = "x"
+    # Multiply and exact division are bound in each class's own namespace so
+    # that a profiler can wrap the x and q sides apart (perfbench/layertrace).
+    __mul__ = __rmul__ = _DensePoly.__mul__
+    divexact = _DensePoly.divexact
+
+    @classmethod
+    def x(cls):
+        return cls((0, 1))
 
     def affine_subst(self, c0, c1):
         """p(c0 + c1*x), by Horner over XPoly."""
@@ -390,150 +437,20 @@ class XPoly:
             acc = acc * step + c
         return acc
 
-    def divexact(self, other):
-        """Exact quotient self/other, or the DivisionWitness obstructing it."""
-        other = self._coerce(other)
-        q, witness = _divexact_lists(self.coeffs, other.coeffs)
-        if witness is not None:
-            return witness
-        return XPoly(q)
 
-    def content_divisible_by(self, d):
-        return all(c % d == 0 for c in self.coeffs)
-
-    def __str__(self):
-        return _format_terms(enumerate(self.coeffs), "x")
-
-    def __repr__(self):
-        return f"XPoly({self})"
-
-    @classmethod
-    def parse(cls, text):
-        table = _parse_terms(text, "x")
-        bad = [e for e in table if e < 0]
-        if bad:
-            raise ValueError(f"negative exponent in XPoly text: {text!r}")
-        n = max(table) + 1 if table else 0
-        coeffs = [0] * n
-        for e, c in table.items():
-            coeffs[e] = c
-        return cls(coeffs)
-
-
-class QPoly:
+class QPoly(_DensePoly):
     """Dense integer polynomial in q; the modulus type for congruence work."""
 
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=()):
-        object.__setattr__(self, "coeffs", tuple(_trim(list(coeffs))))
-
-    def __setattr__(self, *_):
-        raise AttributeError("QPoly is immutable")
-
-    @classmethod
-    def const(cls, c):
-        return cls((c,))
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def degree(self):
-        return len(self.coeffs) - 1
-
-    def is_monic(self):
-        return bool(self.coeffs) and self.coeffs[-1] == 1
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            return self.coeffs == QPoly.const(other).coeffs
-        if isinstance(other, QPoly):
-            return self.coeffs == other.coeffs
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return QPoly(_add_lists(self.coeffs, other.coeffs))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return QPoly(_sub_lists(self.coeffs, other.coeffs))
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return QPoly(_sub_lists(other.coeffs, self.coeffs))
-
-    def __neg__(self):
-        return QPoly([-c for c in self.coeffs])
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return QPoly([other * c for c in self.coeffs])
-        if isinstance(other, QPoly):
-            return QPoly(_convolve(self.coeffs, other.coeffs))
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n):
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        result = QPoly.const(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
-
-    @staticmethod
-    def _coerce(other):
-        if isinstance(other, int):
-            return QPoly.const(other)
-        if isinstance(other, QPoly):
-            return other
-        return NotImplemented
-
-    def coeff(self, e):
-        return self.coeffs[e] if 0 <= e < len(self.coeffs) else 0
-
-    def divexact(self, other):
-        other = self._coerce(other)
-        q, witness = _divexact_lists(self.coeffs, other.coeffs)
-        if witness is not None:
-            return witness
-        return QPoly(q)
+    __slots__ = ()
+    var = "q"
+    __mul__ = __rmul__ = _DensePoly.__mul__    # see XPoly
+    divexact = _DensePoly.divexact
 
     def subst_q_squared(self):
         out = [0] * (2 * len(self.coeffs) - 1) if self.coeffs else []
         for i, c in enumerate(self.coeffs):
             out[2 * i] = c
         return QPoly(out)
-
-    def evaluate(self, q0):
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * q0 + c
-        return acc
-
-    def __str__(self):
-        return _format_terms(enumerate(self.coeffs), "q")
-
-    def __repr__(self):
-        return f"QPoly({self})"
 
 
 def _slice_norm(qmin, coeffs):
@@ -649,27 +566,43 @@ class QLaurent:
             return self._slices == other._slices
         return NotImplemented
 
+    @classmethod
+    def sum(cls, values):
+        """Sum of an iterable of QLaurent values.
+
+        Each x slice accumulates in place in one run that grows to cover the
+        terms' q ranges, so a long sum makes no intermediate values.
+        """
+        runs = []   # runs[d] is None or [qmin, coefficient list]
+        for value in values:
+            slices = value._slices
+            if len(slices) > len(runs):
+                runs.extend([None] * (len(slices) - len(runs)))
+            for d, s in enumerate(slices):
+                if s is None:
+                    continue
+                qmin, cs = s
+                cur = runs[d]
+                if cur is None:
+                    runs[d] = [qmin, list(cs)]
+                    continue
+                lo, run = cur
+                if qmin < lo or qmin + len(cs) > lo + len(run):
+                    new_lo = min(lo, qmin)
+                    grown = [0] * (max(lo + len(run), qmin + len(cs)) - new_lo)
+                    grown[lo - new_lo:lo - new_lo + len(run)] = run
+                    cur[0] = lo = new_lo
+                    cur[1] = run = grown
+                off = qmin - lo
+                seg = run[off:off + len(cs)]
+                run[off:off + len(cs)] = [x + y for x, y in zip(seg, cs)]
+        return cls(runs)
+
     def __add__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self._slices, other._slices
-        out = []
-        for sa, sb in zip_longest(a, b):
-            if sa is None:
-                out.append(sb)
-            elif sb is None:
-                out.append(sa)
-            else:
-                lo = min(sa[0], sb[0])
-                hi = max(sa[0] + len(sa[1]), sb[0] + len(sb[1]))
-                run = [0] * (hi - lo)
-                for qmin, cs in (sa, sb):
-                    off = qmin - lo
-                    for i, c in enumerate(cs):
-                        run[off + i] += c
-                out.append((lo, run))
-        return QLaurent(out)
+        return QLaurent.sum((self, other))
 
     __radd__ = __add__
 

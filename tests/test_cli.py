@@ -193,3 +193,32 @@ def test_emit_report_empty_and_failing():
     lines = sink.getvalue().splitlines()
     assert json.loads(lines[0])["witness"] == "(1)"
     assert json.loads(lines[1])["summary"]["failed"] == 1
+
+
+def test_verify_negative_workers_exit_two():
+    err = io.StringIO()
+    with redirect_stderr(err):
+        assert main(["verify", "thm-int-plain", "--n", "1..3",
+                     "--workers", "-3"]) == 2
+    assert "workers must be nonnegative" in err.getvalue()
+
+
+def test_selftest_names_a_broken_invariant_with_and_without_optimize():
+    # the structural checks must not be asserts that python -O strips
+    import subprocess
+    import sys
+
+    import wpolys
+    src = os.path.dirname(os.path.dirname(os.path.abspath(wpolys.__file__)))
+    code = ("import sys, wpolys.cli as cli\n"
+            "from wpolys.polyring import XPoly\n"
+            "cli.schroder_poly = lambda n: XPoly()\n"
+            "sys.exit(cli.main(['selftest']))\n")
+    for flags in ([], ["-O"]):
+        done = subprocess.run(
+            [sys.executable, *flags, "-c", code], capture_output=True,
+            text=True, timeout=120, env=dict(os.environ, PYTHONPATH=src))
+        assert done.returncode == 1, (flags, done.stdout, done.stderr)
+        assert ("FAIL structural: schroder_poly(1) == w_alpha_poly(1, 1)\n"
+                in done.stdout), (flags, done.stdout)
+        assert "ok thm-qsum-plain" in done.stdout

@@ -278,3 +278,12 @@ def test_mul_qint_weight_matches_qpoly_path():
         n = rng.randint(2, 9)
         r = rng.randint(1, 3)
         assert v.mul_qint_power(n, r) == v.mul_qpoly(_qint_qpoly(n) ** r)
+
+
+def test_grid_rejects_negative_workers():
+    spec = GridSpec("thm-int-plain", ranges=(("n", 1, 3),), workers=-3)
+    try:
+        grid_verify(spec)
+        assert False, "negative workers must be rejected"
+    except GridError as exc:
+        assert "workers" in str(exc)

@@ -1,4 +1,7 @@
+import operator
 import random
+
+import pytest
 
 from wpolys.polyring import (
     DivisionWitness,
@@ -260,3 +263,50 @@ def test_rem_monic_rejects_bad_modulus():
         assert False, "expected rejection"
     except ValueError:
         pass
+
+
+def test_qpoly_parse_roundtrip():
+    from wpolys.qobjects import cyclotomic
+    for d in range(1, 31):
+        phi = cyclotomic(d)
+        assert QPoly.parse(str(phi)) == phi
+    rng = random.Random(13)
+    for _ in range(200):
+        scale = 10 ** rng.choice((0, 0, 1, 30))
+        p = QPoly([rng.randint(-9, 9) * scale
+                   for _ in range(rng.randint(0, 9))])
+        assert QPoly.parse(str(p)) == p
+    assert QPoly.parse("-q^2 + 3") == QPoly((3, 0, -1))
+    assert QPoly.parse("0") == QPoly()
+    for text in ("1 + x", "q^-1"):
+        with pytest.raises(ValueError):
+            QPoly.parse(text)
+
+
+def test_xpoly_and_qpoly_do_not_mix():
+    x, q = XPoly((1, 2)), QPoly((1, 2))
+    for op in (operator.add, operator.sub, operator.mul):
+        for a, b in ((x, q), (q, x)):
+            with pytest.raises(TypeError):
+                op(a, b)
+    for a, b in ((x, q), (q, x)):
+        with pytest.raises(TypeError):
+            a.divexact(b)
+    assert x != q and q != x
+    assert str(x) == "1 + 2*x" and str(q) == "1 + 2*q"
+    with pytest.raises(ValueError):
+        QLaurent.one().rem_monic(XPoly((1, 1)))
+
+
+def test_qlaurent_sum_matches_termwise_xpoly_sum():
+    rng = random.Random(29)
+    assert QLaurent.sum([]) == QLaurent.zero()
+    for _ in range(300):
+        values = [_random_qlaurent(rng) for _ in range(rng.randint(1, 6))]
+        expect = {}
+        for v in values:
+            for e, c in v.terms.items():
+                expect[e] = expect.get(e, XPoly()) + c
+        total = QLaurent.sum(iter(values))
+        assert total.terms == {e: c for e, c in expect.items() if c}
+        assert QLaurent.sum(values + [-v for v in values]).is_zero()
