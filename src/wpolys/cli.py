@@ -156,28 +156,32 @@ def _eval_value(target, params):
     return b_poly(*need("a", "b", "d"), alpha)
 
 
+def _verify(config, sink):
+    spec = GridSpec(statement=config.statement, ranges=config.ranges,
+                    workers=config.workers, inject_fault=config.inject_fault,
+                    count=config.count, seed=config.seed, timing=config.timing)
+    try:
+        verdicts = grid_verify(spec)
+    except GridError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    emit = emit_report if config.format == "jsonl" else _emit_text
+    emit(verdicts, sink)
+    return 0 if all(v.passed for v in verdicts) else 1
+
+
 def run(config):
     if config.command == "verify":
-        spec = GridSpec(statement=config.statement, ranges=config.ranges,
-                        workers=config.workers,
-                        inject_fault=config.inject_fault, count=config.count,
-                        seed=config.seed, timing=config.timing)
+        # the report file is opened before the grid runs, so that a path
+        # that cannot be written fails before any cell is computed
         try:
-            verdicts = grid_verify(spec)
-        except GridError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        emit = emit_report if config.format == "jsonl" else _emit_text
-        try:
-            if config.output:
-                with open(config.output, "w", encoding="utf-8") as sink:
-                    emit(verdicts, sink)
-            else:
-                emit(verdicts, sys.stdout)
+            if not config.output:
+                return _verify(config, sys.stdout)
+            with open(config.output, "w", encoding="utf-8") as sink:
+                return _verify(config, sink)
         except OSError as exc:
             print(f"error: cannot write report: {exc}", file=sys.stderr)
             return 3
-        return 0 if all(v.passed for v in verdicts) else 1
 
     if config.command == "eval":
         try:

@@ -27,28 +27,41 @@ def _qint_qpoly(n):
     return QPoly([1] * n)
 
 
+def _fold(value, order):
+    # the image in Z[x][q]/(q^order - 1); no order means the full value
+    return value if order is None else value.fold(order)
+
+
 @cache
-def _w_power(k, alpha, m):
+def _w_power(k, alpha, m, order=None):
+    """q_w_poly(k, alpha) to the m, folded mod q^order - 1 when an order is
+    given.  Callers pass order positionally so that each value has one key."""
     if m == 1:
-        return q_w_poly(k, alpha)
-    half = _w_power(k, alpha, m // 2)
-    out = half * half
+        return _fold(q_w_poly(k, alpha), order)
+    half = _w_power(k, alpha, m // 2, order)
+    out = _fold(half * half, order)
     if m & 1:
-        out = out * q_w_poly(k, alpha)
+        out = _fold(out * _w_power(k, alpha, 1, order), order)
     return out
 
 
 @cache
-def _w_power_q2(k, alpha, m):
-    return _w_power(k, alpha, m).subst_q_squared()
+def _w_power_q2(k, alpha, m, order=None):
+    # q -> q^2 maps q^(order / gcd(2, order)) to a power of q^order, so the
+    # folded image needs the power only modulo that smaller order
+    if order is None:
+        return _w_power(k, alpha, m, None).subst_q_squared()
+    half = order // math.gcd(2, order)
+    return _w_power(k, alpha, m, half).subst_q_squared().fold(order)
 
 
 @cache
-def _w_run(k, alpha, m, count):
+def _w_run(k, alpha, m, count, order=None):
     # product of w_j^alpha to the m over j = k .. k+count-1
     if count == 1:
-        return _w_power(k, alpha, m)
-    return _w_run(k, alpha, m, count - 1) * _w_power(k + count - 1, alpha, m)
+        return _w_power(k, alpha, m, order)
+    return _fold(_w_run(k, alpha, m, count - 1, order)
+                 * _w_power(k + count - 1, alpha, m, order), order)
 
 
 @cache
@@ -69,57 +82,144 @@ def _check_positive(**kwargs):
             raise ValueError(f"{name} must be >= 1, got {value}")
 
 
-def qsum_plain(n, alpha, m, r):
+def _mul_qint_power(value, n, r, stride, order):
+    """value times the r-th power of [n] at q^stride.
+
+    Folded, q^(p*stride) = 1 for the period p = order / gcd(stride, order),
+    so [n] at q^stride is (n // p) [p] + [n mod p] at q^stride, and every
+    step keeps the operand within two laps of the order.
+    """
+    if order is None:
+        return value.mul_qint_power(n, r, stride)
+    period = order // math.gcd(stride, order)
+    laps, rest = divmod(n, period)
+    for _ in range(r):
+        parts = []
+        if laps:
+            parts.append(value.mul_qint_power(period, 1, stride) * laps)
+        if rest:
+            parts.append(value.mul_qint_power(rest, 1, stride))
+        value = QLaurent.sum(parts).fold(order)
+    return value
+
+
+@dataclass(frozen=True)
+class _Summand:
+    """One term of a q-sum: (-1 if negative) q^shift, times the q-integer
+    weights, times the w-run.
+
+    The w-run is the product of q_w_poly(j, alpha)^m over j = k ..
+    k+count-1, taken at q^2 when doubled (only with count 1).  Each weight
+    (M, r, stride) is the r-th power of [M] at q^stride.
+    """
+
+    k: int
+    count: int
+    alpha: int
+    m: int
+    weights: tuple
+    shift: int
+    doubled: bool = False
+    negative: bool = False
+
+    def value(self, order=None):
+        """The summand, folded mod q^order - 1 when an order is given."""
+        if self.doubled:
+            value = _w_power_q2(self.k, self.alpha, self.m, order)
+        else:
+            value = _w_run(self.k, self.alpha, self.m, self.count, order)
+        for n, r, stride in self.weights:
+            value = _mul_qint_power(value, n, r, stride, order)
+        value = _fold(value.shift_q(self.shift), order)
+        return -value if self.negative else value
+
+    def lowest_term(self):
+        """(e, c) for the summand's lowest q-term c*q^e.
+
+        Z[x] has no zero divisors, so the lowest term of a product is the
+        product of the factors' lowest terms; a weight's is 1*q^0, q -> q^2
+        doubles e, and the shift and the sign carry straight through.
+        """
+        e, c = 0, XPoly.const(1)
+        for j in range(self.k, self.k + self.count):
+            ej, cj = q_w_poly(j, self.alpha).lowest_term()
+            e += self.m * ej
+            c = c * cj ** self.m
+        if self.doubled:
+            e *= 2
+        return e + self.shift, -c if self.negative else c
+
+
+# The summands of the four q-sums, k = 1..n-1; k = 0 drops out of each
+# because a weight is [0].  The public qsum_* builders and the grid runners
+# both read these.
+
+def _plain_summands(n, alpha, m, r):
+    return [_Summand(k, 1, alpha, m,
+                     ((k * (k + 1), r, 1), (2 * k + 1, 1, 1)),
+                     (n - 1 - k) * (alpha * m + 1))
+            for k in range(1, n)]
+
+
+def _alternating_summands(n, alpha, m, r):
+    return [_Summand(k, 1, alpha, m,
+                     ((k * (k + 1), r, 2), (2 * k + 1, 1, 1)),
+                     (n - 1 - k) * (2 * alpha * m + 1),
+                     doubled=True, negative=bool(k & 1))
+            for k in range(1, n)]
+
+
+def _product_summands(n, alpha, m, r):
+    return [_Summand(k, 2, alpha, m,
+                     ((k * (k + 2), r, 1), (2 * (k + 1), 1, 1)),
+                     (n - 2 - k) * (2 * alpha * m + 1))
+            for k in range(1, n)]
+
+
+def _general_summands(n, alpha, beta, m, r):
+    return [_Summand(k, 2 * beta, alpha, m,
+                     ((rising_factorial(k, beta)
+                       * rising_factorial(k + beta + 1, beta), r, 1),
+                      (2 * (k + beta), 1, 1)),
+                     (n - 2 * beta - k) * (2 * beta * alpha * m + 1))
+            for k in range(1, n)]
+
+
+def _qsum(summands, order):
+    return QLaurent.sum(t.value(order) for t in summands)
+
+
+def qsum_plain(n, alpha, m, r, order=None):
     """Sum over k = 0..n-1 of [k(k+1)]^r [2k+1] q^((n-1-k)(alpha*m+1))
-    times the m-th power of the q-analogue w-polynomial."""
+    times the m-th power of the q-analogue w-polynomial.
+
+    Given an order, each qsum_* returns the image of its value in
+    Z[x][q]/(q^order - 1) (see QLaurent.fold), built without the full value.
+    """
     _check_positive(n=n, alpha=alpha, m=m, r=r)
-    return QLaurent.sum(    # k = 0 drops out: [0] = 0
-        _w_power(k, alpha, m)
-        .mul_qint_power(k * (k + 1), r)
-        .mul_qint_power(2 * k + 1)
-        .shift_q((n - 1 - k) * (alpha * m + 1))
-        for k in range(1, n))
+    return _qsum(_plain_summands(n, alpha, m, r), order)
 
 
-def qsum_alternating(n, alpha, m, r):
+def qsum_alternating(n, alpha, m, r, order=None):
     """Alternating variant: (-1)^k, the k(k+1) weight taken at q^2, the
     w-polynomial at q^2, and shift exponent (n-1-k)(2*alpha*m+1)."""
     _check_positive(n=n, alpha=alpha, m=m, r=r)
-
-    def term(k):
-        value = (_w_power_q2(k, alpha, m)
-                 .mul_qint_power(k * (k + 1), r, stride=2)
-                 .mul_qint_power(2 * k + 1)
-                 .shift_q((n - 1 - k) * (2 * alpha * m + 1)))
-        return -value if k & 1 else value
-
-    return QLaurent.sum(map(term, range(1, n)))
+    return _qsum(_alternating_summands(n, alpha, m, r), order)
 
 
-def qsum_product(n, alpha, m, r):
+def qsum_product(n, alpha, m, r, order=None):
     """Neighbour-product variant: weights [k(k+2)]^r [2(k+1)], summand
     (w_k w_{k+1})^m, shift exponent (n-2-k)(2*alpha*m+1)."""
     _check_positive(n=n, alpha=alpha, m=m, r=r)
-    return QLaurent.sum(    # k = 0 drops out: [k(k+2)] = 0
-        _w_run(k, alpha, m, 2)
-        .mul_qint_power(k * (k + 2), r)
-        .mul_qint_power(2 * (k + 1))
-        .shift_q((n - 2 - k) * (2 * alpha * m + 1))
-        for k in range(1, n))
+    return _qsum(_product_summands(n, alpha, m, r), order)
 
 
-def qsum_general(n, alpha, beta, m, r):
+def qsum_general(n, alpha, beta, m, r, order=None):
     """Window variant: rising-factorial weights [(k)_b (k+b+1)_b]^r [2(k+b)],
     summand the product of 2*beta consecutive w powers, shift exponent
     (n-2*beta-k)(2*beta*alpha*m+1)."""
     _check_positive(n=n, alpha=alpha, beta=beta, m=m, r=r)
-    return QLaurent.sum(    # k = 0 drops out: (0)_beta = 0
-        _w_run(k, alpha, m, 2 * beta)
-        .mul_qint_power(rising_factorial(k, beta)
-                        * rising_factorial(k + beta + 1, beta), r)
-        .mul_qint_power(2 * (k + beta))
-        .shift_q((n - 2 * beta - k) * (2 * beta * alpha * m + 1))
-        for k in range(1, n))
+    return _qsum(_general_summands(n, alpha, beta, m, r), order)
 
 
 def verify_divisible_by_qn(value, n, statement="mod-qn", params=None):
@@ -326,14 +426,45 @@ class GridSpec:
     timing: bool = False
 
 
-def _qsum_runner(statement, build, decide):
-    """Cell runner of a q-sum statement: build the value, add the fault
-    (+1) if asked, and decide its divisibility."""
+def _lowest_q_exp(summands, fault):
+    """min_q_exp of the sum of the summands, plus one under a fault, read off
+    their lowest q-terms; None when the terms at the lowest exponent cancel,
+    since the sum's lowest exponent is then not known from them."""
+    lows = [t.lowest_term() for t in summands]
+    if fault:
+        lows.append((0, XPoly.const(1)))
+    e = min(f for f, _ in lows)
+    return e if sum((c for f, c in lows if f == e), XPoly()) else None
+
+
+def _qsum_runner(statement, build, summands, decide, multiple):
+    """Cell runner of a q-sum statement: build the value in Z[x][q]/(q^N - 1)
+    with N = multiple * n, add the fault (+1) if asked, and decide it there.
+
+    The modulus divides q^N - 1, so the folded value decides the cell.  The
+    witness is the remainder of q^shift times the full value, with shift =
+    max(0, -min_q_exp); q is a unit modulo q^N - 1, so the verdict does not
+    depend on the shift, and the witness is the remainder of the folded
+    value rotated by it.  The summands' lowest q-terms give min_q_exp; only
+    when they cancel does a failing cell build the full value.
+    """
     def run(p, fault):
-        value = build(p)
+        n = p["n"]
+        order = multiple * n
+        value = build(p, order)
         if fault:
             value = value + QLaurent.one()
-        return [decide(value, p["n"], statement, p)]
+        low = _lowest_q_exp(summands(**p), fault)
+        if low is not None:
+            value = value.shift_q(max(0, -low)).fold(order)
+            return [decide(value, n, statement, p)]
+        verdict = decide(value, n, statement, p)
+        if not verdict.passed:
+            value = build(p, None)
+            if fault:
+                value = value + QLaurent.one()
+            verdict = decide(value, n, statement, p)
+        return [verdict]
     return run
 
 
@@ -395,22 +526,30 @@ _INT_PARAMS = (("n", 1, None), ("alpha", 1, (1, 1)), ("m", 1, (1, 1)),
 
 # The q-sum runners look up qsum_* and verify_* in this module's globals when
 # a cell runs, not when the table is built, so that rebinding those names
-# (as perfbench/layertrace.py does) reaches every cell.
+# (as perfbench/layertrace.py does) reaches every cell.  The last argument of
+# each runner is N / n for the folded ring Z[x][q]/(q^N - 1): [n] divides
+# q^n - 1, and every factor of the cyclotomic product divides q^(2n) - 1.
 STATEMENTS = {
     "thm-qsum-plain": _Statement(_QSUM_PARAMS, _qsum_runner(
-        "thm-qsum-plain", lambda p: qsum_plain(**p),
-        lambda *args: verify_divisible_by_qn(*args))),
+        "thm-qsum-plain", lambda p, order: qsum_plain(**p, order=order),
+        _plain_summands,
+        lambda *args: verify_divisible_by_qn(*args), 1)),
     "thm-qsum-alternating": _Statement(_QSUM_PARAMS, _qsum_runner(
-        "thm-qsum-alternating", lambda p: qsum_alternating(**p),
-        lambda *args: verify_cyclotomic_product(*args))),
+        "thm-qsum-alternating",
+        lambda p, order: qsum_alternating(**p, order=order),
+        _alternating_summands,
+        lambda *args: verify_cyclotomic_product(*args), 2)),
     "thm-qsum-product": _Statement(_QSUM_PARAMS, _qsum_runner(
-        "thm-qsum-product", lambda p: qsum_product(**p),
-        lambda *args: verify_divisible_by_qn(*args))),
+        "thm-qsum-product", lambda p, order: qsum_product(**p, order=order),
+        _product_summands,
+        lambda *args: verify_divisible_by_qn(*args), 1)),
     "thm-qsum-general": _Statement(
         (("n", 2, None), ("alpha", 1, (1, 1)), ("beta", 1, (1, 1)),
          ("m", 1, (1, 1)), ("r", 1, (1, 1))),
-        _qsum_runner("thm-qsum-general", lambda p: qsum_general(**p),
-                     lambda *args: verify_divisible_by_qn(*args))),
+        _qsum_runner("thm-qsum-general",
+                     lambda p, order: qsum_general(**p, order=order),
+                     _general_summands,
+                     lambda *args: verify_divisible_by_qn(*args), 1)),
     "thm-int-plain": _Statement(_INT_PARAMS,
                                 _division_runner("thm-int-plain")),
     "thm-int-alternating": _Statement(

@@ -78,7 +78,9 @@ def _unpack(value, bits, n):
         else:
             carry = 0
         out.append(-d if negate else d)
-    assert carry == 0
+    if carry:
+        raise OverflowError(
+            f"Kronecker unpack: {bits}-bit digits overflow {n} coefficients")
     return out
 
 
@@ -524,6 +526,12 @@ class QLaurent:
     def x_degree(self):
         return len(self._slices) - 1
 
+    def lowest_term(self):
+        """(e, c) for the lowest q-term c*q^e, with c an XPoly; (0, 0) for
+        the zero value."""
+        e = self.min_q_exp()
+        return e, XPoly([self.coeff(e, d) for d in range(len(self._slices))])
+
     def min_q_exp(self):
         """Smallest q exponent present; 0 for the zero value."""
         lows = [s[0] for s in self._slices if s is not None]
@@ -695,6 +703,20 @@ class QLaurent:
                 run = _window_slide(run, n, stride)
             out.append((qmin, run))
         return QLaurent(tuple(out))
+
+    def fold(self, order):
+        """Image in Z[x][q]/(q^order - 1): each exponent e becomes e mod
+        order, so every exponent lies in [0, order).
+
+        This is a ring homomorphism, so products and sums may be folded
+        term by term, and rem_monic_cyclic(mod, order) of a value equals
+        that of its fold whenever the value has no negative exponent.
+        """
+        if order < 1:
+            raise ValueError("fold order must be >= 1")
+        return QLaurent(tuple(
+            None if s is None else (0, _fold_cyclic(s[1], s[0], order))
+            for s in self._slices))
 
     def subst_q_squared(self):
         """q -> q^2."""

@@ -29,7 +29,9 @@ def _qbinom_poly(n, k):
         return QPoly([1])
     num = _qbinom_poly(n, k - 1) * QPoly([1] * (n - k + 1))
     quot = num.divexact(QPoly([1] * k))
-    assert not isinstance(quot, DivisionWitness)
+    if isinstance(quot, DivisionWitness):
+        raise ArithmeticError(f"Gaussian binomial ({n}, {k}) is not exact: "
+                              f"{quot}")
     return quot
 
 
@@ -89,9 +91,11 @@ class CyclotomicCache:
             else:
                 den = den * factor
         phi = num.divexact(den)
-        assert not isinstance(phi, DivisionWitness)
-        assert phi.is_monic()
-        assert d == 1 or phi.coeff(0) == 1
+        if isinstance(phi, DivisionWitness):
+            raise ArithmeticError(f"cyclotomic({d}) is not exact: {phi}")
+        if not phi.is_monic() or (d > 1 and phi.coeff(0) != 1):
+            raise ArithmeticError(
+                f"cyclotomic({d}) = {phi} is not monic with constant term 1")
         return self._table.setdefault(d, phi)
 
 

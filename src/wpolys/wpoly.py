@@ -48,8 +48,11 @@ def q_w_poly(k, alpha):
     """
     if k < 1 or alpha < 1:
         raise ValueError("q_w_poly needs k, alpha >= 1")
-    # guard: the sum's support really is j in [1, k]
-    assert _defining_base(k, 0).is_zero() and _defining_base(k, k + 1).is_zero()
+    if not (_defining_base(k, 0).is_zero()
+            and _defining_base(k, k + 1).is_zero()):
+        raise ArithmeticError(
+            f"q_w_poly({k}, {alpha}): the defining sum has support outside "
+            f"j in [1, {k}]")
     slices = []
     for j in range(1, k + 1):
         base = (q_binomial_poly(k - 1, j - 1) * q_binomial_poly(k + j, j)

@@ -222,3 +222,24 @@ def test_selftest_names_a_broken_invariant_with_and_without_optimize():
         assert ("FAIL structural: schroder_poly(1) == w_alpha_poly(1, 1)\n"
                 in done.stdout), (flags, done.stdout)
         assert "ok thm-qsum-plain" in done.stdout
+
+
+def test_unwritable_output_exits_three_before_any_cell(monkeypatch):
+    import dataclasses
+
+    from wpolys import congruence
+
+    def runner(params, fault):
+        raise AssertionError("the grid ran before the report was opened")
+
+    entry = congruence.STATEMENTS["thm-qsum-plain"]
+    monkeypatch.setitem(congruence.STATEMENTS, "thm-qsum-plain",
+                        dataclasses.replace(entry, runner=runner))
+    with tempfile.TemporaryDirectory() as tmp:
+        bad = os.path.join(tmp, "missing", "report.jsonl")
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code = main(["verify", "thm-qsum-plain", "--n", "2..4",
+                         "--workers", "1", "--output", bad])
+    assert code == 3
+    assert "cannot write report" in err.getvalue()

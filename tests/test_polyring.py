@@ -310,3 +310,108 @@ def test_qlaurent_sum_matches_termwise_xpoly_sum():
         total = QLaurent.sum(iter(values))
         assert total.terms == {e: c for e, c in expect.items() if c}
         assert QLaurent.sum(values + [-v for v in values]).is_zero()
+
+
+def test_fold_is_a_ring_homomorphism():
+    rng = random.Random(59)
+    for _ in range(400):
+        a, b = _random_qlaurent(rng), _random_qlaurent(rng)
+        order = rng.randint(1, 9)
+        fa, fb = a.fold(order), b.fold(order)
+        assert (a * b).fold(order) == (fa * fb).fold(order)
+        assert (a + b).fold(order) == (fa + fb).fold(order)
+        assert fa.is_zero() or (fa.min_q_exp() >= 0
+                                and fa.max_q_exp() < order)
+        assert fa.eval_q_one() == a.eval_q_one()
+    with pytest.raises(ValueError):
+        QLaurent.one().fold(0)
+
+
+def test_fold_keeps_the_cyclic_remainder():
+    from wpolys.qobjects import cyclotomic
+    rng = random.Random(61)
+    for _ in range(300):
+        v = _random_qlaurent(rng)
+        v = v.shift_q(max(0, -v.min_q_exp()) + rng.randint(0, 20))
+        d = rng.randint(2, 12)
+        order = d * rng.randint(1, 3)
+        mod = cyclotomic(d)
+        assert (v.fold(order).rem_monic_cyclic(mod, order)
+                == v.rem_monic_cyclic(mod, order))
+
+
+def test_folded_qint_splits_into_whole_periods():
+    # [M] at q^s = (M // L) [L] + [M mod L] at q^s modulo q^N - 1, where
+    # L = N / gcd(s, N)
+    import math
+    rng = random.Random(67)
+    for _ in range(200):
+        v = _random_qlaurent(rng)
+        if v.is_zero():
+            continue
+        stride = rng.choice((1, 2))
+        order = rng.randint(1, 12)
+        period = order // math.gcd(stride, order)
+        for big in (period - 1, period, period + 1, 3 * period + 2):
+            if big < 1:
+                continue
+            laps, rest = divmod(big, period)
+            split = v.mul_qint_power(period, 1, stride) * laps
+            if rest:
+                split = split + v.mul_qint_power(rest, 1, stride)
+            assert (split.fold(order)
+                    == v.mul_qint_power(big, 1, stride).fold(order))
+
+
+def test_rem_monic_cyclic_matches_rem_monic_below_zero():
+    from wpolys.qobjects import cyclotomic
+    rng = random.Random(71)
+    for _ in range(300):
+        v = _random_qlaurent(rng)
+        if v.is_zero():
+            continue
+        v = v.shift_q(-v.max_q_exp() - rng.randint(1, 15))
+        assert v.min_q_exp() < 0
+        d = rng.randint(2, 12)
+        order = d * rng.randint(1, 3)
+        assert (v.rem_monic_cyclic(cyclotomic(d), order)
+                == v.rem_monic(cyclotomic(d)))
+
+
+def test_lowest_term():
+    v = QLaurent.parse("q^-2*(3*x^2) + q^-1*(1) + q^4*(x)")
+    assert v.lowest_term() == (-2, XPoly((0, 0, 3)))
+    assert QLaurent.zero().lowest_term() == (0, XPoly())
+
+
+def test_result_guards_survive_optimize():
+    # python -O strips asserts; these guards protect results and must raise
+    import os
+    import subprocess
+    import sys
+
+    import wpolys
+    src = os.path.dirname(os.path.dirname(os.path.abspath(wpolys.__file__)))
+    code = """
+from wpolys import polyring, qobjects, wpoly
+from wpolys.polyring import DivisionWitness, QLaurent, QPoly
+
+def raises(fn, *args):
+    try:
+        fn(*args)
+    except ArithmeticError:
+        return True
+    return False
+
+checks = [raises(polyring._unpack, 200, 8, 1)]
+wpoly._defining_base = lambda k, j: QLaurent.one()
+checks.append(raises(wpoly.q_w_poly, 3, 1))
+QPoly.divexact = lambda self, other: DivisionWitness("remainder", 0, "forced")
+checks.append(raises(qobjects._qbinom_poly, 7, 3))
+checks.append(raises(qobjects.CyclotomicCache().get, 6))
+print(checks)
+"""
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True,
+        timeout=60, env=dict(os.environ, PYTHONPATH=src))
+    assert done.stdout.strip() == "[True, True, True, True]", done.stderr
