@@ -7,6 +7,7 @@ from .congruence import (
     STATEMENTS,
     conjecture_checks,
     conjecture_quotient,
+    grid_stream,
     grid_verify,
     int_sum_lcm,
     int_sum_lcm_quotient,

@@ -8,7 +8,8 @@ import json
 import sys
 from dataclasses import dataclass, field
 
-from .congruence import STATEMENTS, GridError, GridSpec, grid_verify
+from .congruence import (STATEMENTS, GridError, GridSpec, grid_stream,
+                         grid_verify)
 from .intcomb import w_number
 from .polyring import QLaurent, XPoly
 from .qobjects import cyclotomic, q_binomial, q_integer, qint_factorization_check
@@ -56,7 +57,8 @@ def _build_parser():
         verify.add_argument(f"--{name}", type=_range_type, default=None,
                             metavar="LO..HI")
     verify.add_argument("--workers", type=int, default=0,
-                        help="worker threads; 0 means available parallelism")
+                        help="kept for existing command lines; grids run in "
+                             "one thread, so it has no effect")
     verify.add_argument("--output", default=None, help="report file path")
     verify.add_argument("--format", choices=("jsonl", "text"),
                         default="jsonl")
@@ -108,27 +110,27 @@ def parse_cli(argv):
     return CliConfig(command="selftest")
 
 
-def emit_report(verdicts, sink):
-    """JSON-lines: one object per verdict, then a summary object."""
-    passed = sum(1 for v in verdicts if v.passed)
-    for v in verdicts:
-        sink.write(json.dumps(v.to_json()) + "\n")
-    sink.write(json.dumps({"summary": {
-        "total": len(verdicts), "passed": passed,
-        "failed": len(verdicts) - passed}}) + "\n")
+def _text_line(v):
+    line = ("PASS" if v.passed else "FAIL") + " " + v.statement
+    line += "".join(f" {k}={val}" for k, val in v.params.items())
+    return line if v.passed else f"{line}  witness: {v.witness}"
 
 
-def _emit_text(verdicts, sink):
-    passed = 0
+def emit_report(verdicts, sink, fmt="jsonl"):
+    """Write and flush a line per verdict as it arrives, in format fmt, then
+    the summary; return whether all passed.  A run that stops early leaves
+    a valid prefix of its report: every line but the summary."""
+    text = fmt == "text"
+    total = passed = 0
     for v in verdicts:
-        line = ("PASS" if v.passed else "FAIL") + " " + v.statement
-        line += "".join(f" {k}={val}" for k, val in v.params.items())
-        if not v.passed:
-            line += f"  witness: {v.witness}"
-        sink.write(line + "\n")
+        sink.write((_text_line(v) if text else json.dumps(v.to_json())) + "\n")
+        sink.flush()
+        total += 1
         passed += v.passed
-    sink.write(f"total={len(verdicts)} passed={passed} "
-               f"failed={len(verdicts) - passed}\n")
+    counts = {"total": total, "passed": passed, "failed": total - passed}
+    sink.write((" ".join(f"{k}={n}" for k, n in counts.items()) if text
+                else json.dumps({"summary": counts})) + "\n")
+    return passed == total
 
 
 def _eval_value(target, params):
@@ -161,13 +163,11 @@ def _verify(config, sink):
                     workers=config.workers, inject_fault=config.inject_fault,
                     count=config.count, seed=config.seed, timing=config.timing)
     try:
-        verdicts = grid_verify(spec)
+        verdicts = grid_stream(spec)
     except GridError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    emit = emit_report if config.format == "jsonl" else _emit_text
-    emit(verdicts, sink)
-    return 0 if all(v.passed for v in verdicts) else 1
+    return 0 if emit_report(verdicts, sink, config.format) else 1
 
 
 def run(config):

@@ -4,14 +4,12 @@ and sweeps statements over parameter grids with deterministic reporting."""
 from __future__ import annotations
 
 import math
-import os
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import cache
 
-from .intcomb import lcm_range, rising_factorial, w_identity_suite
+from .intcomb import divisors, lcm_range, rising_factorial, w_identity_suite
 from .polyring import DivisionWitness, QLaurent, QPoly, XPoly
 from .qobjects import cyclotomic, lemma31_check, q_binomial, q_lucas_check
 from .verdicts import Verdict
@@ -251,12 +249,7 @@ def verify_cyclotomic_product(value, n, statement="cyclotomic-product",
 def _cyclotomic_product_factors(n):
     # Divisor d of n contributes Phi_d(q) when odd, Phi_d(q^2) = Phi_2d(q)
     # when even.
-    from .intcomb import divisors
-    out = []
-    for d in divisors(n):
-        if d > 1:
-            out.append(d if d % 2 else 2 * d)
-    return out
+    return [d if d % 2 else 2 * d for d in divisors(n) if d > 1]
 
 
 _TWO_X_PLUS_ONE = XPoly((1, 2))
@@ -415,6 +408,7 @@ class GridSpec:
     statement's defaults.  count and seed only matter for the sampled
     q-Lucas statement.  inject_fault adds one to the assembled value (test
     hook for witness soundness); only divisibility statements support it.
+    workers must be >= 0 and selects nothing: grids run in one thread.
     """
 
     statement: str
@@ -641,11 +635,14 @@ def _enumerate_cells(spec, schema):
 
 
 def grid_verify(spec):
-    """Run one statement over its parameter grid.
+    """Run one statement over its parameter grid: list(grid_stream(spec))."""
+    return list(grid_stream(spec))
 
-    Cells are enumerated lexicographically in schema order and results keep
-    that order whatever the worker count, so reports are reproducible.
-    """
+
+def grid_stream(spec):
+    """Check the request at once (GridError), then return a generator of the
+    verdicts, cell by cell in lexicographic schema order as each is decided;
+    cells run one at a time in this thread, so reports are reproducible."""
     schema = STATEMENTS.get(spec.statement)
     if schema is None:
         catalog = ", ".join(sorted(STATEMENTS))
@@ -658,20 +655,14 @@ def grid_verify(spec):
         raise GridError("count must be nonnegative")
     if spec.workers < 0:
         raise GridError("workers must be nonnegative")
-    cells = _enumerate_cells(spec, schema)
+    return _run_cells(schema, _enumerate_cells(spec, schema), spec)
 
-    def run_cell(params):
+
+def _run_cells(schema, cells, spec):
+    for params in cells:
+        t0 = time.perf_counter_ns()
+        verdicts = schema.runner(params, spec.inject_fault)
         if spec.timing:
-            t0 = time.perf_counter_ns()
-            verdicts = schema.runner(params, spec.inject_fault)
             elapsed = (time.perf_counter_ns() - t0) // 1_000_000
-            return [replace(v, elapsed_ms=elapsed) for v in verdicts]
-        return schema.runner(params, spec.inject_fault)
-
-    workers = spec.workers if spec.workers > 0 else (os.cpu_count() or 1)
-    if workers == 1 or len(cells) <= 1:
-        chunks = [run_cell(c) for c in cells]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(run_cell, cells))
-    return [v for chunk in chunks for v in chunk]
+            verdicts = [replace(v, elapsed_ms=elapsed) for v in verdicts]
+        yield from verdicts

@@ -82,10 +82,12 @@ def w_number(n, k):
         raise ValueError(f"w_number needs 1 <= k <= n, got ({n}, {k})")
     num = math.comb(n - 1, k - 1) * math.comb(n + k, k - 1)
     quot, rem = divmod(num, k)
-    assert rem == 0, f"w({n},{k}) division not exact"
+    if rem:
+        raise ArithmeticError(f"w({n},{k}) division not exact")
     alt = (math.comb(n - 1, k - 1) * math.comb(n + k, k)
            - math.comb(n, k) * math.comb(n + k, k - 1))
-    assert quot == alt, f"w({n},{k}) closed forms disagree"
+    if quot != alt:
+        raise ArithmeticError(f"w({n},{k}) closed forms disagree")
     return quot
 
 
@@ -94,7 +96,8 @@ def narayana_number(n, k):
         raise ValueError(f"narayana_number needs 1 <= k <= n, got ({n}, {k})")
     num = math.comb(n, k) * math.comb(n, k - 1)
     quot, rem = divmod(num, n)
-    assert rem == 0
+    if rem:
+        raise ArithmeticError(f"N({n},{k}) division not exact")
     return quot
 
 

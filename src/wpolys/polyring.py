@@ -58,9 +58,10 @@ def _pack(coeffs, bits):
 
 
 def _unpack(value, bits, n):
-    # Balanced digit extraction: every true coefficient is < 2^(bits-1) in
-    # absolute value, so digits at or above the halfway mark encode a
-    # negative coefficient plus a carry into the next digit.
+    # Balanced digit extraction of coefficients in [-2^(bits-1), 2^(bits-1)).
+    # A negative value is read from its negation, whose coefficients lie in
+    # (-2^(bits-1), 2^(bits-1)]; a digit at or above the halfway mark (past
+    # it, for a negation) encodes a negative coefficient plus a carry.
     negate = value < 0
     if negate:
         value = -value
@@ -72,7 +73,7 @@ def _unpack(value, bits, n):
     carry = 0
     for i in range(n):
         d = int.from_bytes(raw[i * nb:(i + 1) * nb], "little") + carry
-        if d >= half:
+        if d >= half + negate:
             d -= full
             carry = 1
         else:

@@ -66,8 +66,8 @@ def q_binomial(n, k):
 class CyclotomicCache:
     """Memo table d -> cyclotomic polynomial; entries immutable once stored.
 
-    Safe for concurrent use: lookups never block, a racing recompute just
-    produces the same value and setdefault keeps one copy.
+    Grids run in one thread and take no lock; were two threads to race, the
+    recompute gives the same value and setdefault keeps one copy.
     """
 
     def __init__(self):

@@ -74,7 +74,8 @@ def q_w_poly_alt(k, alpha):
     qbinom(-k-1,j) + qbinom(k,j)qbinom(-k-2,j-1))^alpha x^(j-1)."""
     if k < 1 or alpha < 1:
         raise ValueError("q_w_poly_alt needs k, alpha >= 1")
-    assert _alt_base(k, 0).is_zero() and _alt_base(k, k + 1).is_zero()
+    if not (_alt_base(k, 0).is_zero() and _alt_base(k, k + 1).is_zero()):
+        raise ArithmeticError(f"q_w_poly_alt({k}): support outside [1, {k}]")
     acc = QLaurent.zero()
     for j in range(1, k + 1):
         term = _alt_base(k, j) ** alpha
@@ -101,8 +102,10 @@ def b_poly(a, b, d, alpha):
     if d <= 2 or not 1 <= b <= d - 2:
         raise ValueError(f"b_poly needs d > 2 and 1 <= b <= d-2, got b={b}, d={d}")
     # guards: support truncation is genuine vanishing, not convention
-    assert binomial_general(a, -1) == 0 and binomial_general(a, a + 1) == 0
-    assert _block_base(b, d, 0).is_zero() and _block_base(b, d, d).is_zero()
+    if binomial_general(a, -1) or binomial_general(a, a + 1):
+        raise ArithmeticError(f"b_poly: C({a},s)C({-a - 1},s) beyond [0, {a}]")
+    if not (_block_base(b, d, 0).is_zero() and _block_base(b, d, d).is_zero()):
+        raise ArithmeticError(f"b_poly: t-base of b={b} beyond [1, {d - 1}]")
     acc = QLaurent.zero()
     for s in range(a + 1):
         cfac = (binomial_general(a, s) * binomial_general(-a - 1, s)) ** alpha

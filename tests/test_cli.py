@@ -4,6 +4,8 @@ import os
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 
+import pytest
+
 from wpolys.cli import emit_report, main, parse_cli, run
 from wpolys.polyring import QLaurent, XPoly
 from wpolys.verdicts import Verdict
@@ -243,3 +245,93 @@ def test_unwritable_output_exits_three_before_any_cell(monkeypatch):
                          "--workers", "1", "--output", bad])
     assert code == 3
     assert "cannot write report" in err.getvalue()
+
+
+def _parse_report_line(line, fmt):
+    # one verdict line of either format, as (passed, params)
+    if fmt == "jsonl":
+        obj = json.loads(line)
+        return obj["pass"], obj["params"]
+    head, _, witness = line.partition("  witness: ")
+    verdict, statement, *fields = head.split()
+    assert verdict in ("PASS", "FAIL") and statement == "thm-qsum-plain"
+    assert (verdict == "FAIL") == bool(witness)
+    return verdict == "PASS", {k: int(v) for k, v in
+                               (f.split("=") for f in fields)}
+
+
+def _install_runner(monkeypatch, runner):
+    import dataclasses
+
+    from wpolys import congruence
+
+    entry = congruence.STATEMENTS["thm-qsum-plain"]
+    monkeypatch.setitem(congruence.STATEMENTS, "thm-qsum-plain",
+                        dataclasses.replace(entry, runner=runner))
+
+
+def _report_lines(path):
+    with open(path, encoding="utf-8") as fh:
+        return fh.read().splitlines()
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "text"])
+def test_verify_writes_each_verdict_before_the_next_cell(monkeypatch, fmt):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "report")
+        seen = []
+
+        def runner(params, fault):
+            seen.append(_report_lines(path))
+            return [Verdict("thm-qsum-plain", params, True)]
+
+        _install_runner(monkeypatch, runner)
+        code = main(["verify", "thm-qsum-plain", "--n", "2..4",
+                     "--format", fmt, "--output", path])
+        assert code == 0
+        # the file on disk, read from inside the next cell's runner
+        assert [len(lines) for lines in seen] == [0, 1, 2]
+        assert _parse_report_line(seen[1][0], fmt) == (
+            True, {"n": 2, "alpha": 1, "m": 1, "r": 1})
+        assert len(_report_lines(path)) == 4
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "text"])
+def test_verify_crash_leaves_a_valid_report_prefix(monkeypatch, fmt):
+    class Crash(Exception):
+        pass
+
+    def runner(params, fault):
+        if params["n"] == 4:
+            raise Crash
+        return [Verdict("thm-qsum-plain", params, params["n"] == 2,
+                        None if params["n"] == 2 else "(1)")]
+
+    _install_runner(monkeypatch, runner)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "report")
+        with pytest.raises(Crash):
+            main(["verify", "thm-qsum-plain", "--n", "2..6",
+                  "--format", fmt, "--output", path])
+        lines = _report_lines(path)
+    assert [_parse_report_line(line, fmt) for line in lines] == [
+        (True, {"n": 2, "alpha": 1, "m": 1, "r": 1}),
+        (False, {"n": 3, "alpha": 1, "m": 1, "r": 1})]
+    assert not any("summary" in line or "total=" in line for line in lines)
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "text"])
+def test_verify_bad_grid_writes_no_verdict(monkeypatch, fmt):
+    def runner(params, fault):
+        raise AssertionError("a cell ran for a rejected grid")
+
+    _install_runner(monkeypatch, runner)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "report")
+        for bad in (["--n", "5..2"], ["--n", "2..4", "--workers", "-1"],
+                    ["--n", "2..4", "--beta", "1"]):
+            with redirect_stderr(io.StringIO()):
+                code = main(["verify", "thm-qsum-plain", *bad,
+                             "--format", fmt, "--output", path])
+            assert code == 2
+            assert _report_lines(path) == []

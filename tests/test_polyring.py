@@ -10,6 +10,8 @@ from wpolys.polyring import (
     XPoly,
     _convolve,
     _kronecker,
+    _pack,
+    _unpack,
 )
 
 
@@ -27,6 +29,67 @@ def test_convolve_matches_schoolbook():
                 direct[i + j] += ai * bj
         assert _kronecker(a, b) == direct
         assert _convolve(a, b) == direct
+
+
+def _schoolbook(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] += ai * bj
+    return out
+
+
+def _operands_at_bound(rng, target_bits):
+    # all-equal magnitudes whose product bound amax*bmax*min(la, lb) has
+    # bit length target_bits; with aligned signs the middle coefficient of
+    # the product equals that bound
+    while True:
+        short = rng.randint(2, 24)
+        bound = rng.randrange(1 << (target_bits - 1), 1 << target_bits)
+        amax = max(1, rng.randrange(1, bound // short + 2) // 2)
+        bmax = max(1, bound // (short * amax))
+        if (amax * bmax * short).bit_length() == target_bits:
+            longer = short + rng.randint(0, 8)
+            return [amax] * short, [bmax] * longer
+
+
+def test_kronecker_at_the_digit_bound():
+    # every bound bit length from 2 to 65, so on both sides of each
+    # multiple of 8: the digit width rounds up to whole bytes and leaves
+    # between 2 and 9 bits above the bound
+    rng = random.Random(5)
+    for target in range(2, 66):
+        for _ in range(4):
+            a, b = _operands_at_bound(rng, target)
+            if rng.random() < 0.5:
+                a, b = b, a
+            bound = max(a) * max(b) * min(len(a), len(b))
+            for sa, sb in ((1, 1), (-1, -1), (1, -1), (-1, 1)):
+                sa_ops = [sa * x for x in a]
+                sb_ops = [sb * x for x in b]
+                direct = _schoolbook(sa_ops, sb_ops)
+                assert max(map(abs, direct)) == bound
+                assert _kronecker(sa_ops, sb_ops) == direct
+            # a negative entry next to a positive one: the product digits
+            # change sign from one position to the next, so unpack carries
+            mixed_a = [x if i % 2 else -x for i, x in enumerate(a)]
+            mixed_b = list(b)
+            mixed_b[rng.randrange(len(b))] *= -1
+            for x, y in ((mixed_a, b), (a, mixed_b), (mixed_a, mixed_b)):
+                assert _kronecker(x, y) == _schoolbook(x, y)
+
+
+def test_pack_unpack_round_trip_at_the_digit_extremes():
+    rng = random.Random(9)
+    for bits in (8, 16, 24, 64, 136):
+        half = 1 << (bits - 1)
+        extremes = (-half, half - 1, -(half - 1), 0, 1, -1)
+        for _ in range(60):
+            c = [rng.choice(extremes) for _ in range(rng.randint(1, 12))]
+            assert _unpack(_pack(c, bits), bits, len(c)) == c
+        for c in ([-half], [-half, -half], [0, -half], [half - 1, -half],
+                  [-half, -(half - 1)], [-(half - 1), half - 1]):
+            assert _unpack(_pack(c, bits), bits, len(c)) == c
 
 
 def test_convolve_edge_cases():

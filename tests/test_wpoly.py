@@ -131,3 +131,56 @@ def test_lemma_congruence_rejects():
             assert False, f"lemma_congruence_check{bad} should be rejected"
         except ValueError:
             pass
+
+
+def test_intcomb_and_wpoly_guards_survive_optimize():
+    # python -O strips asserts; these guards protect results and must raise
+    import json
+    import os
+    import subprocess
+    import sys
+
+    import wpolys
+    src = os.path.dirname(os.path.dirname(os.path.abspath(wpolys.__file__)))
+    code = """
+import json
+import math
+import types
+
+from wpolys import intcomb, wpoly
+from wpolys.polyring import QLaurent
+
+def message(fn, *args):
+    try:
+        fn(*args)
+    except ArithmeticError as exc:
+        return str(exc)
+    return None
+
+out = []
+intcomb.math = types.SimpleNamespace(comb=lambda n, k: 1)
+out.append(message(intcomb.w_number, 3, 2))
+out.append(message(intcomb.w_number, 2, 1))
+out.append(message(intcomb.narayana_number, 2, 1))
+intcomb.math = math
+wpoly._alt_base = lambda k, j: QLaurent.one()
+out.append(message(wpoly.q_w_poly_alt, 3, 1))
+binomial_general = wpoly.binomial_general
+wpoly.binomial_general = lambda a, s: 1
+out.append(message(wpoly.b_poly, 1, 1, 4, 1))
+wpoly.binomial_general = binomial_general
+wpoly._block_base = lambda b, d, t: QLaurent.one()
+out.append(message(wpoly.b_poly, 0, 1, 4, 1))
+print(json.dumps(out))
+"""
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True,
+        timeout=60, env=dict(os.environ, PYTHONPATH=src))
+    assert done.returncode == 0, done.stderr
+    messages = json.loads(done.stdout)
+    expected = ("w(3,2) division not exact", "w(2,1) closed forms disagree",
+                "N(2,1) division not exact", "q_w_poly_alt(3)",
+                "b_poly: C(1,s)C(-2,s)", "b_poly: t-base")
+    assert len(messages) == len(expected)
+    for got, want in zip(messages, expected):
+        assert got is not None and want in got, (got, want)
