@@ -200,6 +200,11 @@ def _fold_cyclic(coeffs, base, order):
     # Replace q^e by q^(e mod order); valid against any modulus dividing
     # q^order - 1.  base is the absolute exponent of coeffs[0].
     out = [0] * order
+    if len(coeffs) >= 4 * order:
+        # many laps: one C-level sum over each residue's stride slice
+        for i in range(order):
+            out[(base + i) % order] = sum(coeffs[i::order])
+        return out
     for i, c in enumerate(coeffs):
         if c:
             out[(base + i) % order] += c
@@ -448,6 +453,19 @@ class QPoly(_DensePoly):
     var = "q"
     __mul__ = __rmul__ = _DensePoly.__mul__    # see XPoly
     divexact = _DensePoly.divexact
+
+    def fold(self, order):
+        """Image in Z[q]/(q^order - 1): exponent e becomes e mod order."""
+        if order < 1:
+            raise ValueError("fold order must be >= 1")
+        return QPoly(_fold_cyclic(self.coeffs, 0, order))
+
+    def mul_cyclic(self, other, order):
+        """self * other in Z[q]/(q^order - 1), folded like fold(order).
+
+        With folded operands no product spans more than 2*order - 1 terms.
+        """
+        return QPoly(_convolve(self.coeffs, other.coeffs)).fold(order)
 
     def subst_q_squared(self):
         out = [0] * (2 * len(self.coeffs) - 1) if self.coeffs else []

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 from functools import cache
+from itertools import accumulate
 
 from .intcomb import divisors, mobius
 from .polyring import DivisionWitness, QLaurent, QPoly
@@ -20,19 +21,33 @@ def q_integer(n):
     return QLaurent(((n, (-1,) * (-n)),))
 
 
+def _ratio_step(coeffs, m, k):
+    """coeffs times (1 - q^m)/(1 - q^k), in two linear passes.
+
+    The multiply is b[i] = a[i] - a[i-m] and the division the recurrence
+    c[i] = b[i] + c[i-k], a prefix sum along each residue class mod k.  The
+    division is exact only if the recurrence ends in k zeros; otherwise
+    ArithmeticError.
+    """
+    run = list(coeffs) + [0] * m
+    run[m:] = [x - y for x, y in zip(run[m:], coeffs)]
+    for r in range(k):
+        run[r::k] = accumulate(run[r::k])
+    if any(run[-k:]):
+        raise ArithmeticError(
+            f"(1 - q^{k}) does not divide ({QPoly(coeffs)}) * (1 - q^{m})")
+    return run[:-k]
+
+
 @cache
 def _qbinom_poly(n, k):
+    # qbinom(n, k) = qbinom(n, k-1) (1 - q^(n-k+1))/(1 - q^k): one row chain
     if not 0 <= k <= n:
         raise ValueError(f"_qbinom_poly needs 0 <= k <= n, got ({n}, {k})")
     k = min(k, n - k)
     if k == 0:
         return QPoly([1])
-    num = _qbinom_poly(n, k - 1) * QPoly([1] * (n - k + 1))
-    quot = num.divexact(QPoly([1] * k))
-    if isinstance(quot, DivisionWitness):
-        raise ArithmeticError(f"Gaussian binomial ({n}, {k}) is not exact: "
-                              f"{quot}")
-    return quot
+    return QPoly(_ratio_step(_qbinom_poly(n, k - 1).coeffs, n - k + 1, k))
 
 
 def q_binomial_poly(n, k):

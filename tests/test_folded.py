@@ -1,13 +1,15 @@
 """The grid runners decide the q-sum statements in Z[x][q]/(q^N - 1) and
-rebuild the witness from the folded value.  Their verdicts, witness text
-included, must equal the full-value path: verify_* on the public qsum_*
-value, which spans thousands of q exponents."""
+rebuild the witness from the folded value, and lemma-23 is decided in
+Z[x][q]/(q^d - 1).  Their verdicts, witness text included, must equal the
+full-value path: verify_* on the public qsum_* value, which spans thousands
+of q exponents, and the remainder of the whole lemma-23 difference."""
 
+import itertools
 import random
 
 import pytest
 
-from wpolys import congruence
+from wpolys import congruence, wpoly
 from wpolys.congruence import (
     STATEMENTS,
     qsum_alternating,
@@ -18,6 +20,8 @@ from wpolys.congruence import (
     verify_divisible_by_qn,
 )
 from wpolys.polyring import QLaurent
+from wpolys.qobjects import cyclotomic
+from wpolys.wpoly import b_poly, lemma_congruence_check, q_w_poly
 
 # statement -> (public full-value builder, its decision, its summands)
 FULL_PATH = {
@@ -115,3 +119,70 @@ def test_folded_builders_are_the_fold_of_the_full_value():
                     == qsum_product(n, alpha, m, r).fold(order))
             assert (qsum_general(n, alpha, 2, m, r, order=order)
                     == qsum_general(n, alpha, 2, m, r).fold(order))
+
+
+def test_folded_q_w_poly_is_the_fold_of_the_full_value():
+    for k in range(1, 31):
+        for alpha in range(1, 4):
+            full = q_w_poly(k, alpha)
+            for order in range(2, 13):
+                assert q_w_poly(k, alpha, order) == full.fold(order), \
+                    (k, alpha, order)
+
+
+# lemma-23 equation -> (w index, B index, q-shift) as functions of (a, b, d,
+# alpha), the four congruences of lemma_congruence_check's docstring
+LEMMA23_EQS = {
+    1: lambda a, b, d, alpha: (a * d + b, b, 0),
+    2: lambda a, b, d, alpha: (a * d + d - b - 1, b, -alpha * (2 * b + 1)),
+    3: lambda a, b, d, alpha: (a * d + b + 1, b + 1, 0),
+    4: lambda a, b, d, alpha: (a * d + d - b - 2, b + 1,
+                               -alpha * (2 * b + 3)),
+}
+
+
+def _full_lemma23_remainder(a, b, d, alpha, eq):
+    widx, bidx, shift = LEMMA23_EQS[eq](a, b, d, alpha)
+    diff = q_w_poly(widx, alpha) - wpoly.b_poly(a, bidx, d, alpha).shift_q(
+        shift)
+    return diff.rem_monic_cyclic(cyclotomic(d), d)
+
+
+def _lemma23_grid():
+    ranges = {name: bounds for name, _, bounds
+              in STATEMENTS["lemma-23"].params}
+    cells = itertools.product(*(range(lo, hi + 1) for lo, hi in (
+        ranges["a"], ranges["b"], ranges["d"], ranges["alpha"])))
+    return [c for c in cells
+            if congruence._lemma23_valid({"b": c[1], "d": c[2]})]
+
+
+def test_folded_lemma23_verdicts_match_the_full_remainder():
+    grid = _lemma23_grid()
+    assert max(a for a, _, _, _ in grid) == 3
+    for a, b, d, alpha in grid:
+        for v in lemma_congruence_check(a, b, d, alpha):
+            rem = _full_lemma23_remainder(a, b, d, alpha, v.params["eq"])
+            assert v.passed and rem.is_zero(), (a, b, d, alpha, v)
+
+
+def test_failing_lemma23_equation_gives_the_full_witness(monkeypatch):
+    real = b_poly
+    monkeypatch.setattr(wpoly, "b_poly",
+                        lambda *args: real(*args) + QLaurent.one())
+    for a, b, d, alpha in ((0, 1, 3, 1), (1, 2, 7, 2), (2, 0, 5, 1),
+                           (1, 3, 10, 2)):
+        verdicts = lemma_congruence_check(a, b, d, alpha)
+        assert verdicts
+        for v in verdicts:
+            rem = _full_lemma23_remainder(a, b, d, alpha, v.params["eq"])
+            assert not v.passed and not rem.is_zero()
+            assert v.witness == str(rem)
+
+
+def test_q_w_poly_support_guard_raises_on_the_order_path(monkeypatch):
+    monkeypatch.setattr(wpoly, "_defining_base",
+                        lambda k, j: QLaurent.one())
+    for order in (None, 5):
+        with pytest.raises(ArithmeticError, match="support outside"):
+            q_w_poly.__wrapped__(3, 1, order)

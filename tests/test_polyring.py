@@ -390,6 +390,34 @@ def test_fold_is_a_ring_homomorphism():
         QLaurent.one().fold(0)
 
 
+def test_fold_on_both_sides_of_the_lap_cutoff():
+    # _fold_cyclic sums stride slices from four laps of the order on and
+    # walks the terms below that; both must take each exponent mod order
+    rng = random.Random(73)
+    for _ in range(300):
+        order = rng.randint(1, 12)
+        p, r = (QPoly([rng.randint(-9, 9)
+                       for _ in range(rng.randint(0, laps * order))])
+                for laps in (8, 3))
+        shift = rng.randint(-30, 30)
+        image = [0] * order
+        shifted = [0] * order
+        for e, c in enumerate(p.coeffs):
+            image[e % order] += c
+            shifted[(e + shift) % order] += c
+        assert p.fold(order) == QPoly(image)
+        assert (QLaurent.from_qpoly(p, q_shift=shift).fold(order)
+                == QLaurent.from_qpoly(QPoly(shifted)))
+        product = [0] * order
+        for i, a in enumerate(p.coeffs):
+            for j, b in enumerate(r.coeffs):
+                product[(i + j) % order] += a * b
+        assert (p.fold(order).mul_cyclic(r.fold(order), order)
+                == QPoly(product))
+    with pytest.raises(ValueError):
+        QPoly((1,)).fold(0)
+
+
 def test_fold_keeps_the_cyclic_remainder():
     from wpolys.qobjects import cyclotomic
     rng = random.Random(61)
@@ -470,7 +498,7 @@ checks = [raises(polyring._unpack, 200, 8, 1)]
 wpoly._defining_base = lambda k, j: QLaurent.one()
 checks.append(raises(wpoly.q_w_poly, 3, 1))
 QPoly.divexact = lambda self, other: DivisionWitness("remainder", 0, "forced")
-checks.append(raises(qobjects._qbinom_poly, 7, 3))
+checks.append(raises(qobjects._ratio_step, (1,), 1, 2))
 checks.append(raises(qobjects.CyclotomicCache().get, 6))
 print(checks)
 """

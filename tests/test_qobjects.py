@@ -1,9 +1,10 @@
 import math
 import random
 
-from wpolys.polyring import QLaurent
+from wpolys.polyring import QLaurent, QPoly
 from wpolys.qobjects import (
     CyclotomicCache,
+    _qbinom_poly,
     cyclotomic,
     lemma31_check,
     q_binomial,
@@ -38,6 +39,28 @@ def test_q_binomial_values_at_one():
             assert all(c >= 0 for c in p.coeffs)
             assert p.evaluate(1) == math.comb(n, k)
             assert p.degree() == k * (n - k)
+
+
+def test_qbinom_poly_matches_the_product_quotient():
+    # oracle: qbinom(n, k) = prod (1 - q^(n-i)) / prod (1 - q^(i+1)) over
+    # i < k; q-Lucas samples reach the top 4*12 + 11 = 59.  Z[q] has no zero
+    # divisors, so got * den == num says got is that quotient; the division
+    # itself (QPoly.divexact) is checked on the smaller tops, where its
+    # schoolbook cost stays small.
+    def times_one_minus(p, e):
+        return p - QPoly([0] * e + list(p.coeffs))
+
+    for n in range(61):
+        num = den = QPoly([1])
+        for k in range(n + 1):
+            if k:
+                num = times_one_minus(num, n - k + 1)
+                den = times_one_minus(den, k)
+            got = _qbinom_poly(n, k)
+            assert got * den == num, (n, k)
+            if n <= 24:
+                assert got == num.divexact(den), (n, k)
+            assert got.evaluate(1) == math.comb(n, k)
 
 
 def test_q_binomial_edge_and_negative():
