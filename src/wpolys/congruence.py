@@ -11,7 +11,8 @@ from functools import cache
 
 from .intcomb import divisors, lcm_range, rising_factorial, w_identity_suite
 from .polyring import DivisionWitness, QLaurent, QPoly, XPoly
-from .qobjects import cyclotomic, lemma31_check, q_binomial, q_lucas_check
+from .qobjects import (_q_lucas_remainder, cyclotomic, lemma31_check,
+                       q_lucas_check)
 from .verdicts import Verdict
 from .wpoly import lemma_congruence_check, q_w_poly, w_alpha_poly
 
@@ -80,27 +81,6 @@ def _check_positive(**kwargs):
             raise ValueError(f"{name} must be >= 1, got {value}")
 
 
-def _mul_qint_power(value, n, r, stride, order):
-    """value times the r-th power of [n] at q^stride.
-
-    Folded, q^(p*stride) = 1 for the period p = order / gcd(stride, order),
-    so [n] at q^stride is (n // p) [p] + [n mod p] at q^stride, and every
-    step keeps the operand within two laps of the order.
-    """
-    if order is None:
-        return value.mul_qint_power(n, r, stride)
-    period = order // math.gcd(stride, order)
-    laps, rest = divmod(n, period)
-    for _ in range(r):
-        parts = []
-        if laps:
-            parts.append(value.mul_qint_power(period, 1, stride) * laps)
-        if rest:
-            parts.append(value.mul_qint_power(rest, 1, stride))
-        value = QLaurent.sum(parts).fold(order)
-    return value
-
-
 @dataclass(frozen=True)
 class _Summand:
     """One term of a q-sum: (-1 if negative) q^shift, times the q-integer
@@ -127,7 +107,7 @@ class _Summand:
         else:
             value = _w_run(self.k, self.alpha, self.m, self.count, order)
         for n, r, stride in self.weights:
-            value = _mul_qint_power(value, n, r, stride, order)
+            value = value.mul_qint_power(n, r, stride, order)
         value = _fold(value.shift_q(self.shift), order)
         return -value if self.negative else value
 
@@ -439,26 +419,19 @@ def _qsum_runner(statement, build, summands, decide, multiple):
     witness is the remainder of q^shift times the full value, with shift =
     max(0, -min_q_exp); q is a unit modulo q^N - 1, so the verdict does not
     depend on the shift, and the witness is the remainder of the folded
-    value rotated by it.  The summands' lowest q-terms give min_q_exp; only
-    when they cancel does a failing cell build the full value.
+    value rotated by it.  The summands' lowest q-terms give min_q_exp; when
+    they cancel, the cell builds the full value and decides that instead.
     """
     def run(p, fault):
         n = p["n"]
         order = multiple * n
-        value = build(p, order)
+        low = _lowest_q_exp(summands(**p), fault)
+        value = build(p, None if low is None else order)
         if fault:
             value = value + QLaurent.one()
-        low = _lowest_q_exp(summands(**p), fault)
         if low is not None:
             value = value.shift_q(max(0, -low)).fold(order)
-            return [decide(value, n, statement, p)]
-        verdict = decide(value, n, statement, p)
-        if not verdict.passed:
-            value = build(p, None)
-            if fault:
-                value = value + QLaurent.one()
-            verdict = decide(value, n, statement, p)
-        return [verdict]
+        return [decide(value, n, statement, p)]
     return run
 
 
@@ -480,12 +453,9 @@ def _run_lemma31(p, fault):
 
 
 def _run_qlucas(p, fault):
-    ok = q_lucas_check(p["d"], p["a"], p["b"], p["s"], p["t"])
-    witness = None
-    if not ok:
-        diff = (q_binomial(p["a"] * p["d"] + p["b"], p["s"] * p["d"] + p["t"])
-                - math.comb(p["a"], p["s"]) * q_binomial(p["b"], p["t"]))
-        witness = str(diff.rem_monic_cyclic(cyclotomic(p["d"]), p["d"]))
+    args = (p["d"], p["a"], p["b"], p["s"], p["t"])
+    ok = q_lucas_check(*args)
+    witness = None if ok else str(_q_lucas_remainder(*args))
     return [Verdict("lemma-qlucas", p, ok, witness)]
 
 

@@ -14,6 +14,7 @@ carries the real work.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, zip_longest
@@ -137,6 +138,24 @@ def _window_slide(run, n, stride=1):
         if cls:
             for j, val in enumerate(_window_slide(cls, n)):
                 out[res + stride * j] = val
+    return out
+
+
+def _window_slide_cyclic(run, n, stride, order):
+    """_window_slide in Z[q]/(q^order - 1), for a run folded to length order.
+
+    q^(p*stride) = 1 for p = order / g, g = gcd(stride, order), so the factor
+    is n // p whole periods plus a window of n mod p terms, and a whole
+    period adds each residue class's total mod g to every exponent of that
+    class.
+    """
+    g = math.gcd(stride, order)
+    laps, rest = divmod(n, order // g)
+    out = (_fold_cyclic(_window_slide(run, rest, stride), 0, order) if rest
+           else [0] * order)
+    if laps:
+        whole = [laps * c for c in _fold_cyclic(run, 0, g)] * (order // g)
+        out = [a + b for a, b in zip(out, whole)]
     return out
 
 
@@ -700,26 +719,32 @@ class QLaurent:
             None if s is None else (s[0], _convolve(list(s[1]), cs))
             for s in self._slices))
 
-    def mul_qint_power(self, n, r=1, stride=1):
+    def mul_qint_power(self, n, r=1, stride=1, order=None):
         """Multiply by the r-th power of 1 + q^stride + ... + q^((n-1)*stride).
 
         At stride 1 that factor is the n-th q-integer; at stride 2 it is the
         same q-integer taken at q^2.  Window sums keep every pass linear in
         the operand size, which matters once n runs into the thousands.
+
+        Given an order, the product is taken in Z[x][q]/(q^order - 1) and
+        equals the fold of the full product; every pass is then O(order)
+        whatever n is.
         """
-        if n < 1 or r < 0 or stride < 1:
-            raise ValueError("need n >= 1, r >= 0, stride >= 1")
+        if n < 1 or r < 0 or stride < 1 or (order is not None and order < 1):
+            raise ValueError("need n >= 1, r >= 0, stride >= 1, order >= 1")
         if r == 0 or n == 1 or self.is_zero():
-            return self
+            return self if order is None else self.fold(order)
         out = []
         for s in self._slices:
             if s is None:
                 out.append(None)
                 continue
-            qmin, cs = s
-            run = list(cs)
+            qmin, run = s
+            if order is not None:
+                qmin, run = 0, _fold_cyclic(run, qmin, order)
             for _ in range(r):
-                run = _window_slide(run, n, stride)
+                run = (_window_slide(run, n, stride) if order is None
+                       else _window_slide_cyclic(run, n, stride, order))
             out.append((qmin, run))
         return QLaurent(tuple(out))
 
@@ -789,18 +814,7 @@ class QLaurent:
         N clears the negative q exponents: N = max(0, -min_q_exp).  The
         result has q degrees in [0, deg(mod) - 1].
         """
-        self._check_modulus(mod)
-        shift = max(0, -self.min_q_exp())
-        mcs = list(mod.coeffs)
-        out = []
-        for s in self._slices:
-            if s is None:
-                out.append(None)
-                continue
-            qmin, cs = s
-            run = [0] * (qmin + shift) + list(cs)
-            out.append((0, _divmod_monic_lists(run, mcs)[1]))
-        return QLaurent(out)
+        return self.divmod_monic(mod)[1]
 
     def divmod_monic(self, mod):
         """Full division data: (quotient, remainder, shift) with
@@ -854,24 +868,8 @@ class QLaurent:
             raise ValueError("modulus must be a monic QPoly of degree >= 1")
 
     def __str__(self):
-        if not self._slices:
-            return "0"
-        groups: dict[int, list[tuple[int, int]]] = {}
-        for d, s in enumerate(self._slices):
-            if s is None:
-                continue
-            qmin, cs = s
-            for i, c in enumerate(cs):
-                if c:
-                    groups.setdefault(qmin + i, []).append((d, c))
-        parts = []
-        for e in sorted(groups):
-            inner = _format_terms(groups[e], "x")
-            if e == 0:
-                parts.append(f"({inner})")
-            else:
-                parts.append(f"q^{e}*({inner})")
-        return " + ".join(parts)
+        return " + ".join(f"({c})" if e == 0 else f"q^{e}*({c})"
+                          for e, c in self.terms.items()) or "0"
 
     def __repr__(self):
         return f"QLaurent({self})"

@@ -140,8 +140,20 @@ def q_lucas_check(d, a, b, s, t):
         raise ValueError("a and s must be nonnegative")
     if not (0 <= b < d and 0 <= t < d):
         raise ValueError("b and t must lie in [0, d-1]")
-    diff = q_binomial(a * d + b, s * d + t) - math.comb(a, s) * q_binomial(b, t)
-    return diff.rem_monic_cyclic(cyclotomic(d), d).is_zero()
+    return _q_lucas_remainder(d, a, b, s, t).is_zero()
+
+
+def _q_lucas_remainder(d, a, b, s, t):
+    """Remainder of qbinom(ad+b, sd+t) - C(a,s) qbinom(b,t) mod cyclotomic(d).
+
+    Both tops are nonnegative, so the difference lies in Z[q] and each
+    binomial may be folded into Z[q]/(q^d - 1) first, which cyclotomic(d)
+    divides; the remainder is that of the full difference.
+    """
+    def folded(n, k):
+        return _qbinom_poly(n, k).fold(d) if k <= n else QPoly()
+    diff = folded(a * d + b, s * d + t) - math.comb(a, s) * folded(b, t)
+    return QLaurent.from_qpoly(diff).rem_monic_cyclic(cyclotomic(d), d)
 
 
 def lemma31_check(d):

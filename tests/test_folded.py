@@ -1,15 +1,17 @@
 """The grid runners decide the q-sum statements in Z[x][q]/(q^N - 1) and
-rebuild the witness from the folded value, and lemma-23 is decided in
-Z[x][q]/(q^d - 1).  Their verdicts, witness text included, must equal the
-full-value path: verify_* on the public qsum_* value, which spans thousands
-of q exponents, and the remainder of the whole lemma-23 difference."""
+rebuild the witness from the folded value, and lemma-23 and q-Lucas are
+decided in Z[x][q]/(q^d - 1).  Their verdicts, witness text included, must
+equal the full-value path: verify_* on the public qsum_* value, which spans
+thousands of q exponents, and the remainder of the whole lemma-23 or q-Lucas
+difference."""
 
 import itertools
+import math
 import random
 
 import pytest
 
-from wpolys import congruence, wpoly
+from wpolys import congruence, qobjects, wpoly
 from wpolys.congruence import (
     STATEMENTS,
     qsum_alternating,
@@ -20,7 +22,7 @@ from wpolys.congruence import (
     verify_divisible_by_qn,
 )
 from wpolys.polyring import QLaurent
-from wpolys.qobjects import cyclotomic
+from wpolys.qobjects import cyclotomic, q_binomial
 from wpolys.wpoly import b_poly, lemma_congruence_check, q_w_poly
 
 # statement -> (public full-value builder, its decision, its summands)
@@ -186,3 +188,61 @@ def test_q_w_poly_support_guard_raises_on_the_order_path(monkeypatch):
     for order in (None, 5):
         with pytest.raises(ArithmeticError, match="support outside"):
             q_w_poly.__wrapped__(3, 1, order)
+
+
+def _full_qlucas_remainder(d, a, b, s, t):
+    diff = (q_binomial(a * d + b, s * d + t)
+            - math.comb(a, s) * q_binomial(b, t))
+    return diff.rem_monic_cyclic(cyclotomic(d), d)
+
+
+def _qlucas_sample(seed, count):
+    rng = random.Random(seed)
+    cells = []
+    for _ in range(count):
+        d = rng.randint(2, 12)
+        a = rng.randint(0, 4)
+        cells.append({"d": d, "a": a, "b": rng.randint(0, d - 1),
+                      "s": rng.randint(0, a + 1), "t": rng.randint(0, d - 1)})
+    return cells
+
+
+def _qlucas_args(p):
+    return p["d"], p["a"], p["b"], p["s"], p["t"]
+
+
+def test_folded_qlucas_remainder_matches_the_full_difference():
+    cells = _qlucas_sample(29, 400)
+    # s = a + 1 makes C(a, s) zero, t > b the second binomial zero
+    assert any(p["s"] == p["a"] + 1 for p in cells)
+    assert any(p["t"] > p["b"] for p in cells)
+    for p in cells:
+        args = _qlucas_args(p)
+        assert (qobjects._q_lucas_remainder(*args)
+                == _full_qlucas_remainder(*args)), p
+
+
+def test_failing_qlucas_cell_gives_the_full_witness(monkeypatch):
+    # t >= 1 keeps both bottoms positive, so each binomial that is not zero
+    # comes from _qbinom_poly on both paths
+    cells = [p for p in _qlucas_sample(31, 200) if p["t"] >= 1]
+    real = qobjects._qbinom_poly
+    for p in cells:
+        d, a, b, s, t = _qlucas_args(p)
+        for n, k in ((a * d + b, s * d + t), (b, t)):
+            if k <= n:
+                real(n, k)
+    # every call below hits the memo table, so no corrupted row is stored
+    misses = real.cache_info().misses
+    monkeypatch.setattr(qobjects, "_qbinom_poly",
+                        lambda n, k: real(n, k) + 1)
+    failed = 0
+    for p in cells:
+        rem = _full_qlucas_remainder(*_qlucas_args(p))
+        [v] = STATEMENTS["lemma-qlucas"].runner(p, False)
+        assert v.passed is rem.is_zero(), p
+        if not v.passed:
+            failed += 1
+            assert v.witness == str(rem), p
+    assert failed
+    assert real.cache_info().misses == misses

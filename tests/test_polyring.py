@@ -433,14 +433,15 @@ def test_fold_keeps_the_cyclic_remainder():
 
 def test_folded_qint_splits_into_whole_periods():
     # [M] at q^s = (M // L) [L] + [M mod L] at q^s modulo q^N - 1, where
-    # L = N / gcd(s, N)
+    # L = N / gcd(s, N); given the order N, mul_qint_power takes the r-th
+    # power of [M] at q^s there, and equals the fold of the full product
     import math
     rng = random.Random(67)
     for _ in range(200):
         v = _random_qlaurent(rng)
         if v.is_zero():
             continue
-        stride = rng.choice((1, 2))
+        stride = rng.randint(1, 5)
         order = rng.randint(1, 12)
         period = order // math.gcd(stride, order)
         for big in (period - 1, period, period + 1, 3 * period + 2):
@@ -452,6 +453,9 @@ def test_folded_qint_splits_into_whole_periods():
                 split = split + v.mul_qint_power(rest, 1, stride)
             assert (split.fold(order)
                     == v.mul_qint_power(big, 1, stride).fold(order))
+            for r in range(4):
+                assert (v.mul_qint_power(big, r, stride, order)
+                        == v.mul_qint_power(big, r, stride).fold(order))
 
 
 def test_rem_monic_cyclic_matches_rem_monic_below_zero():
