@@ -239,20 +239,38 @@ def _triple(n):
     return n * (n + 1) * (n + 2)
 
 
+# series -> (n, its sum over k = 1..n).  Grids run n outermost, so each
+# cell extends the previous n's sum of its series by the new terms instead
+# of summing from k = 1 again; a smaller n starts the series over.
+_RUNNING_SUMS = {}
+
+
+def _running_sum(series, n, term):
+    done, acc = _RUNNING_SUMS.get(series, (0, XPoly()))
+    if done > n:
+        done, acc = 0, XPoly()
+    for k in range(done + 1, n + 1):
+        acc = acc + term(k)
+    _RUNNING_SUMS[series] = (n, acc)
+    return acc
+
+
 def _plain_sum(n, alpha, m, r, sign):
     # sum over k = 1..n of sign^k [k(k+1)]^r (2k+1) w_k^(alpha, m)
-    return sum((_wx_power(k, alpha, m)
-                * (sign ** k * (k * (k + 1)) ** r * (2 * k + 1))
-                for k in range(1, n + 1)), XPoly())
+    return _running_sum(
+        ("plain", alpha, m, r, sign), n,
+        lambda k: _wx_power(k, alpha, m)
+        * (sign ** k * (k * (k + 1)) ** r * (2 * k + 1)))
 
 
 def _window_sum(n, alpha, beta, m, r):
     # sum over k = 1..n of [(k)_beta (k+beta+1)_beta]^r (k+beta) times the
     # product of 2*beta consecutive w powers
-    return sum((_wx_run(k, alpha, m, 2 * beta)
-                * (rising_factorial(k, beta) ** r
-                   * rising_factorial(k + beta + 1, beta) ** r * (k + beta))
-                for k in range(1, n + 1)), XPoly())
+    return _running_sum(
+        ("window", alpha, beta, m, r), n,
+        lambda k: _wx_run(k, alpha, m, 2 * beta)
+        * (rising_factorial(k, beta) ** r
+           * rising_factorial(k + beta + 1, beta) ** r * (k + beta)))
 
 
 def _by_triple(acc, p):

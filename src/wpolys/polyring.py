@@ -6,20 +6,48 @@ QLaurent is a Laurent polynomial in q whose coefficients are integer
 polynomials in x.  Everything is immutable
 after construction and all arithmetic is exact.
 
-Coefficient convolution switches to Kronecker substitution once operands are
-large: the arrays are packed into single big integers, multiplied once, and
-unpacked with balanced digit extraction.  CPython's integer multiply then
-carries the real work.
+Every product is one convolution of two coefficient lists.  A QLaurent
+product flattens each operand x-outer into one run in which the x^d slice
+starts at d*W, with W = qspan(a) + qspan(b) - 1; the slice products then do
+not overlap, and the product's slices are cut from the flat result at stride
+W.  Leading empty slices are skipped and the last slice is not padded, so a
+single-slice operand is its own run.
+
+Small convolutions run schoolbook.  Larger ones use Kronecker substitution:
+each list is packed into one big integer, the two are multiplied once, and
+the product is unpacked with balanced digit extraction; a square packs once.
+From _DECIMAL_CUTOFF packed decimal digits on, the packing is decimal: each
+list becomes one exact Decimal, built from fixed-width digit strings, and
+libmpdec's number-theoretic transform multiplies them.  Its context traps
+Inexact and Rounded, so a lost digit raises, also under python -O.  That
+path is taken only with the C decimal module (decimal.__libmpdec_version__)
+and with blocks of at most 4,300 digits and at most the process's
+int_max_str_digits limit, which is read but never set; otherwise the product
+stays binary.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, zip_longest
 
+# Schoolbook up to this many coefficient products.  Timed on the flat
+# operands of each benchmark workload against values from 0 to 4096, 1024
+# was fastest on lemma-blocks and qsum-weights and within 20% of the best on
+# the others; with no schoolbook path lemma-blocks took twice as long.
 _SCHOOLBOOK_CUTOFF = 1024
+# From this many packed decimal digits in the shorter operand on, a Kronecker
+# product goes through libmpdec, whose number-theoretic transform beats
+# CPython's Karatsuba multiply: measured on flat operands of 8- to 2000-bit
+# coefficients, the decimal path took 0.28-0.85 of the binary time at 80k
+# digits and 0.49-1.22 at 40k.
+_DECIMAL_CUTOFF = 80_000
+# Widest coefficient block, in decimal digits, that the decimal path takes;
+# wider blocks go binary (CPython's default int <-> str limit).
+_DECIMAL_MAX_DIGITS = 4300
 
 
 def _trim(cs):
@@ -86,16 +114,92 @@ def _unpack(value, bits, n):
     return out
 
 
+def _decimal_context():
+    """The exact context of the decimal path, or None without libmpdec (the
+    pure-Python decimal module would be far slower than int).
+
+    Traps Inexact and Rounded, so a product that would lose a digit raises.
+    decimal is imported here, on first use: importing it adds a few ms to
+    every start-up, and only products past _DECIMAL_CUTOFF need it.
+    """
+    import decimal
+    if not hasattr(decimal, "__libmpdec_version__"):
+        return None
+    return decimal.Context(
+        prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
+        traps=[decimal.Inexact, decimal.Rounded])
+
+
+def _decimal_pack(coeffs, digits, context):
+    # The decimal analogue of _pack: one signed Decimal whose base-10^digits
+    # digits are coeffs, lowest first.  The positive entries and the
+    # magnitudes of the negative ones are written as fixed-width digit
+    # strings, and the two values are subtracted exactly.
+    zero = "0" * digits
+    pos = "".join(str(c).zfill(digits) if c > 0 else zero
+                  for c in reversed(coeffs))
+    neg = "".join(str(-c).zfill(digits) if c < 0 else zero
+                  for c in reversed(coeffs))
+    return context.subtract(context.create_decimal(pos),
+                            context.create_decimal(neg))
+
+
+def _decimal_unpack(value, digits, n):
+    # Balanced base-10^digits extraction, as _unpack does in base 2^bits.
+    text = str(value)
+    negate = text.startswith("-")
+    text = text.lstrip("-").zfill(n * digits)
+    full = 10 ** digits
+    half = full // 2
+    out = []
+    carry = 0
+    end = len(text)
+    for _ in range(n):
+        d = int(text[end - digits:end]) + carry
+        end -= digits
+        if d >= half + negate:
+            d -= full
+            carry = 1
+        else:
+            carry = 0
+        out.append(-d if negate else d)
+    if carry or text[:end].strip("0"):
+        raise OverflowError(
+            f"Kronecker unpack: {digits}-digit blocks overflow {n} "
+            "coefficients")
+    return out
+
+
+def _str_digit_cap():
+    # Widest block the decimal path may write: str() and int() raise
+    # ValueError past the process's int_max_str_digits limit (0: none).
+    # The limit is only read here, never set.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    return min(limit, _DECIMAL_MAX_DIGITS) if limit else _DECIMAL_MAX_DIGITS
+
+
 def _kronecker(a, b):
+    # A square (b is a) packs once and multiplies the packed value by itself.
     amax = max(map(abs, a))
-    bmax = max(map(abs, b))
+    bmax = amax if b is a else max(map(abs, b))
+    n = len(a) + len(b) - 1
     if amax == 0 or bmax == 0:
-        return [0] * (len(a) + len(b) - 1)
-    bound = amax * bmax * min(len(a), len(b))
+        return [0] * n
+    shorter = min(len(a), len(b))
+    bound = amax * bmax * shorter
+    # 10^digits > 2^(bit_length + 1) > 2*bound, as 0.30103 > log10(2)
+    digits = (bound.bit_length() + 1) * 30103 // 100000 + 1
+    context = (_decimal_context() if shorter * digits >= _DECIMAL_CUTOFF
+               and digits <= _str_digit_cap() else None)
+    if context is not None:
+        pa = _decimal_pack(a, digits, context)
+        pb = pa if b is a else _decimal_pack(b, digits, context)
+        return _decimal_unpack(context.multiply(pa, pb), digits, n)
     bits = bound.bit_length() + 2
     bits = (bits + 7) & ~7
-    prod = _pack(a, bits) * _pack(b, bits)
-    return _unpack(prod, bits, len(a) + len(b) - 1)
+    pa = _pack(a, bits)
+    pb = pa if b is a else _pack(b, bits)
+    return _unpack(pa * pb, bits, n)
 
 
 def _convolve(a, b):
@@ -945,45 +1049,46 @@ def _divides_q_power_minus_one(mod_coeffs, order):
     return not isinstance(target.divexact(QPoly(mod_coeffs)), DivisionWitness)
 
 
+def _extent(slices):
+    # (index of the first nonempty slice, lowest q exponent, q-span)
+    if len(slices) == 1:
+        # most products have a q-only operand; read it off directly
+        return 0, slices[0][0], len(slices[0][1])
+    live = [s for s in slices if s is not None]
+    lo = min([s[0] for s in live])
+    hi = max([s[0] + len(s[1]) for s in live])
+    return slices.index(live[0]), lo, hi - lo
+
+
+def _flatten(slices, first, lo, width):
+    # x-outer flat run from the first nonempty slice on: the x^d slice
+    # starts at (d - first) * width, and the last slice is not padded
+    last = slices[-1]
+    flat = [0] * ((len(slices) - 1 - first) * width
+                  + last[0] - lo + len(last[1]))
+    for d in range(first, len(slices)):
+        s = slices[d]
+        if s is not None:
+            off = (d - first) * width + s[0] - lo
+            flat[off:off + len(s[1])] = s[1]
+    return flat
+
+
 def _ql_mul(a, b):
+    # One convolution of the flattened operands (see the module docstring);
+    # a square passes the same run twice, so _kronecker packs it once.
     sa, sb = a._slices, b._slices
     if not sa or not sb:
         return _QL_ZERO
-    same = sa == sb
-    nout = len(sa) + len(sb) - 1
-    lo = [None] * nout
-    hi = [None] * nout
-    pairs = []
-    for i, si in enumerate(sa):
-        if si is None:
-            continue
-        jstart = i if same else 0
-        for j in range(jstart, len(sb)):
-            sj = sb[j]
-            if sj is None:
-                continue
-            d = i + j
-            lo_e = si[0] + sj[0]
-            hi_e = lo_e + len(si[1]) + len(sj[1]) - 2
-            lo[d] = lo_e if lo[d] is None else min(lo[d], lo_e)
-            hi[d] = hi_e if hi[d] is None else max(hi[d], hi_e)
-            pairs.append((d, si, sj, same and i != j))
-    runs = [None if lo[d] is None else [0] * (hi[d] - lo[d] + 1)
-            for d in range(nout)]
-    for d, si, sj, doubled in pairs:
-        prod = _convolve(list(si[1]), list(sj[1]))
-        run = runs[d]
-        off = si[0] + sj[0] - lo[d]
-        if doubled:
-            for i, c in enumerate(prod):
-                if c:
-                    run[off + i] += 2 * c
-        else:
-            for i, c in enumerate(prod):
-                if c:
-                    run[off + i] += c
-    return QLaurent(tuple(
-        None if runs[d] is None else (lo[d], runs[d]) for d in range(nout)))
+    ka, lo_a, span_a = _extent(sa)
+    kb, lo_b, span_b = _extent(sb)
+    width = span_a + span_b - 1
+    fa = _flatten(sa, ka, lo_a, width)
+    fb = fa if sa == sb else _flatten(sb, kb, lo_b, width)
+    flat = _convolve(fa, fb)
+    lo = lo_a + lo_b
+    return QLaurent((None,) * (ka + kb) + tuple(
+        (lo, flat[i:i + width]) for i in range(0, len(flat), width)))
 
 
 _QL_ZERO = QLaurent(())

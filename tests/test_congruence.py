@@ -1,3 +1,4 @@
+import math
 import random
 
 from wpolys.congruence import (
@@ -19,7 +20,7 @@ from wpolys.congruence import (
     verify_divisible_by_qn,
     _qint_qpoly,
 )
-from wpolys.intcomb import rising_factorial
+from wpolys.intcomb import lcm_range, rising_factorial
 from wpolys.polyring import DivisionWitness, QLaurent, XPoly
 from wpolys.qobjects import q_integer
 from wpolys.wpoly import w_alpha_poly
@@ -287,3 +288,69 @@ def test_grid_rejects_negative_workers():
         assert False, "negative workers must be rejected"
     except GridError as exc:
         assert "workers" in str(exc)
+
+
+def _direct_int_sum(n, alpha, m, r, sign):
+    # sum of sign^k [k(k+1)]^r (2k+1) w_k^(alpha, m), term by term from k = 1
+    total = XPoly()
+    for k in range(1, n + 1):
+        total = total + (w_alpha_poly(k, alpha) ** m
+                         * (sign ** k * (k * (k + 1)) ** r * (2 * k + 1)))
+    return total
+
+
+def _direct_window_sum(n, alpha, beta, m, r):
+    total = XPoly()
+    for k in range(1, n + 1):
+        run = XPoly.const(1)
+        for i in range(2 * beta):
+            run = run * w_alpha_poly(k + i, alpha) ** m
+        weight = (rising_factorial(k, beta)
+                  * rising_factorial(k + beta + 1, beta)) ** r
+        total = total + run * (weight * (k + beta))
+    return total
+
+
+def _plain_quotient(acc, n):
+    return (acc * math.gcd(2, n)).divexact(n * (n + 1) * (n + 2))
+
+
+def _lcm_quotient(acc, n, beta):
+    return (acc * 2).divexact(lcm_range(n, n + 2 * beta + 1))
+
+
+def test_running_integer_sums_match_direct_sums():
+    # each series keeps one running sum, extended while n grows and started
+    # over when n falls; n ascending, descending and repeated
+    for ns in (range(1, 9), range(9, 0, -1), (3, 3, 5, 5, 2, 2, 6, 1, 1)):
+        for n in ns:
+            for sign, name in ((1, "plus"), (-1, "alternating")):
+                want = _plain_quotient(_direct_int_sum(n, 2, 2, 1, sign), n)
+                assert int_sum_plain_quotient(n, 2, 2, 1, name) == want
+                assert int_sum_plain(n, 2, 2, 1, name).passed
+            assert int_sum_lcm_quotient(n, 1, 2, 1, 2) == _lcm_quotient(
+                _direct_window_sum(n, 1, 2, 1, 2), n, 2)
+            if n % 2 == 0:
+                acc = _direct_int_sum(n, 2, 1, 1, -1)
+                assert conjecture_quotient("c52_eq14_even_n", n, 2, 1) == (
+                    acc.divexact(n * (n + 1) * (n + 2)))
+
+
+def test_running_integer_sums_in_grids_match_direct_sums():
+    # a faulted cell's witness is the obstruction of the sum built from k = 1
+    # plus one; grids after a larger grid start their series over
+    for lo, hi in ((4, 7), (1, 3), (1, 3), (2, 8)):
+        spec = GridSpec("thm-int-alternating",
+                        ranges=(("n", lo, hi), ("m", 1, 2)), inject_fault=True)
+        for v in grid_verify(spec):
+            p = v.params
+            acc = _direct_int_sum(p["n"], 1, p["m"], 1, -1) + 1
+            assert not v.passed
+            assert v.witness == str(_plain_quotient(acc, p["n"]))
+        spec = GridSpec("thm-int-lcm", ranges=(("n", lo, hi), ("beta", 1, 2)))
+        for v in grid_verify(spec):
+            p = v.params
+            assert v.passed
+            assert int_sum_lcm_quotient(p["n"], 1, p["beta"], 1, 1) == (
+                _lcm_quotient(_direct_window_sum(p["n"], 1, p["beta"], 1, 1),
+                              p["n"], p["beta"]))

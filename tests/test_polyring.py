@@ -1,9 +1,12 @@
+import decimal
 import operator
 import random
 
 import pytest
 
+from wpolys import polyring
 from wpolys.polyring import (
+    _SCHOOLBOOK_CUTOFF,
     DivisionWitness,
     QLaurent,
     QPoly,
@@ -510,3 +513,158 @@ print(checks)
         [sys.executable, "-O", "-c", code], capture_output=True, text=True,
         timeout=60, env=dict(os.environ, PYTHONPATH=src))
     assert done.stdout.strip() == "[True, True, True, True]", done.stderr
+
+
+def _termwise_product(a, b):
+    # independent reference for _ql_mul: every pair of (q, x) terms
+    out = {}
+    for e, c in a.terms.items():
+        for f, d in b.terms.items():
+            for i, ci in enumerate(c.coeffs):
+                for j, dj in enumerate(d.coeffs):
+                    out[e + f, i + j] = out.get((e + f, i + j), 0) + ci * dj
+    return {key: c for key, c in out.items() if c}
+
+
+def _as_terms(value):
+    return {(e, i): ci for e, c in value.terms.items()
+            for i, ci in enumerate(c.coeffs) if ci}
+
+
+def _random_product_operand(rng):
+    scale = rng.choice((1, 9, 10 ** 6, 10 ** 40))
+    if rng.random() < 0.15:
+        return QLaurent.monomial(rng.choice((-1, 1)) * rng.randint(1, scale),
+                                 x_degree=rng.randint(0, 4),
+                                 q_exp=rng.randint(-9, 9))
+    slices = [None] * rng.randint(0, 3)
+    for _ in range(rng.randint(1, 6)):
+        if rng.random() < 0.25:
+            slices.append(None)
+            continue
+        run = [rng.randint(-scale, scale) for _ in range(rng.randint(1, 40))]
+        slices.append((rng.randint(-20, 20), run))
+    return QLaurent(slices)
+
+
+def test_packed_product_matches_termwise_product(monkeypatch):
+    # mixed signs, empty and leading empty x-slices, x-monomials, negative q
+    # exponents and squares, on both sides of the schoolbook cutoff and,
+    # with the decimal cutoff lowered, of the decimal one
+    monkeypatch.setattr(polyring, "_DECIMAL_CUTOFF", 3000)
+    paths = {"kronecker": 0, "decimal": 0, "schoolbook": 0}
+
+    def counted(name, fn):
+        def wrapped(*args):
+            paths[name] += 1
+            return fn(*args)
+        return wrapped
+
+    convolve = polyring._convolve
+
+    def spy_convolve(a, b):
+        if len(a) > 1 and len(b) > 1 and len(a) * len(b) <= _SCHOOLBOOK_CUTOFF:
+            paths["schoolbook"] += 1
+        return convolve(a, b)
+
+    monkeypatch.setattr(polyring, "_convolve", spy_convolve)
+    monkeypatch.setattr(polyring, "_kronecker",
+                        counted("kronecker", polyring._kronecker))
+    monkeypatch.setattr(polyring, "_decimal_pack",
+                        counted("decimal", polyring._decimal_pack))
+    rng = random.Random(71)
+    for _ in range(400):
+        a = _random_product_operand(rng)
+        b = a if rng.random() < 0.2 else _random_product_operand(rng)
+        assert _as_terms(a * b) == _termwise_product(a, b)
+        assert a * b == b * a
+    assert all(paths.values()), paths
+
+
+def test_decimal_kronecker_at_the_digit_bound(monkeypatch):
+    # the decimal path's balanced extraction, at the same bounds as the
+    # binary one, and its pack/unpack round trip at the block extremes
+    monkeypatch.setattr(polyring, "_DECIMAL_CUTOFF", 0)
+    rng = random.Random(13)
+    for target in range(2, 70, 3):
+        for _ in range(3):
+            a, b = _operands_at_bound(rng, target)
+            mixed = [x if i % 2 else -x for i, x in enumerate(a)]
+            for x, y in ((a, b), (mixed, b), ([-v for v in a], b)):
+                assert _kronecker(x, y) == _schoolbook(x, y)
+            assert _kronecker(mixed, mixed) == _schoolbook(mixed, mixed)
+    context = polyring._decimal_context()
+    for digits in (1, 2, 3, 19, 40):
+        half = 10 ** digits // 2
+        extremes = (-half, half - 1, -(half - 1), 0, 1, -1)
+        for _ in range(60):
+            c = [rng.choice(extremes) for _ in range(rng.randint(1, 12))]
+            packed = polyring._decimal_pack(c, digits, context)
+            assert polyring._decimal_unpack(packed, digits, len(c)) == c
+    with pytest.raises(OverflowError):
+        polyring._decimal_unpack(polyring._decimal_pack([7], 2, context), 1, 1)
+
+
+def test_decimal_path_needs_libmpdec(monkeypatch):
+    # without the C accelerator, decimal is the slow pure-Python module
+    monkeypatch.setattr(polyring, "_DECIMAL_CUTOFF", 0)
+    monkeypatch.delattr(decimal, "__libmpdec_version__", raising=False)
+    monkeypatch.setattr(polyring, "_decimal_pack", None)
+    a = [3, -(10 ** 30), 5, 0, 7]
+    assert _kronecker(a, a[::-1]) == _schoolbook(a, a[::-1])
+
+
+def test_wide_coefficients_take_the_binary_path(monkeypatch):
+    # blocks past 4,300 digits would trip the int <-> str limit: binary
+    monkeypatch.setattr(polyring, "_DECIMAL_CUTOFF", 0)
+    monkeypatch.setattr(polyring, "_decimal_pack", None)
+    a = [10 ** 2200 + 1, -3, 7]
+    b = [1, -(10 ** 2150), 2]
+    assert _kronecker(a, b) == _schoolbook(a, b)
+
+
+def test_decimal_guards_survive_optimize_and_str_limits():
+    # under -O and the lowest int <-> str limit: blocks wider than the limit
+    # go binary without ValueError, and a forced precision loss raises
+    import os
+    import subprocess
+    import sys
+
+    import wpolys
+    src = os.path.dirname(os.path.dirname(os.path.abspath(wpolys.__file__)))
+    code = """
+import decimal
+from wpolys import polyring
+
+def school(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+polyring._DECIMAL_CUTOFF = 0
+wide = ([10 ** 700 + 1, -3, 7], [1, -(10 ** 710), 2])
+small = [12345678, -9, 5] * 40
+checks = [polyring._kronecker(*wide) == school(*wide),
+          polyring._kronecker(small, small) == school(small, small)]
+exact = polyring._decimal_context
+
+def lossy():
+    context = exact()
+    context.prec = 50
+    return context
+
+polyring._decimal_context = lossy
+try:
+    polyring._kronecker(small, small)
+    checks.append(False)
+except (decimal.Inexact, decimal.Rounded):
+    checks.append(True)
+print(checks)
+"""
+    done = subprocess.run(
+        [sys.executable, "-O", "-X", "int_max_str_digits=640", "-c", code],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=src))
+    assert done.stdout.strip() == "[True, True, True]", done.stderr
