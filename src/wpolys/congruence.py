@@ -14,7 +14,8 @@ from .polyring import DivisionWitness, QLaurent, QPoly, XPoly
 from .qobjects import (_q_lucas_remainder, cyclotomic, lemma31_check,
                        q_lucas_check)
 from .verdicts import Verdict
-from .wpoly import lemma_congruence_check, q_w_poly, w_alpha_poly
+from .wpoly import (_q_w_lowest_term, lemma_congruence_check, q_w_poly,
+                    w_alpha_poly)
 
 
 class GridError(ValueError):
@@ -36,7 +37,9 @@ def _w_power(k, alpha, m, order=None):
     """q_w_poly(k, alpha) to the m, folded mod q^order - 1 when an order is
     given.  Callers pass order positionally so that each value has one key."""
     if m == 1:
-        return _fold(q_w_poly(k, alpha), order)
+        # the full value's memo key in q_w_poly has no order
+        return (q_w_poly(k, alpha) if order is None
+                else q_w_poly(k, alpha, order))
     half = _w_power(k, alpha, m // 2, order)
     out = _fold(half * half, order)
     if m & 1:
@@ -116,11 +119,13 @@ class _Summand:
 
         Z[x] has no zero divisors, so the lowest term of a product is the
         product of the factors' lowest terms; a weight's is 1*q^0, q -> q^2
-        doubles e, and the shift and the sign carry straight through.
+        doubles e, and the shift and the sign carry straight through.  Each
+        w factor's lowest term comes from its bases' lowest terms, without
+        the full w-polynomial.
         """
         e, c = 0, XPoly.const(1)
         for j in range(self.k, self.k + self.count):
-            ej, cj = q_w_poly(j, self.alpha).lowest_term()
+            ej, cj = _q_w_lowest_term(j, self.alpha)
             e += self.m * ej
             c = c * cj ** self.m
         if self.doubled:

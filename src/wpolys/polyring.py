@@ -24,6 +24,13 @@ path is taken only with the C decimal module (decimal.__libmpdec_version__)
 and with blocks of at most 4,300 digits and at most the process's
 int_max_str_digits limit, which is read but never set; otherwise the product
 stays binary.
+
+The fold and the cyclic window of Z[q]/(q^order - 1) loop over laps and
+cycles, not over terms.  A fold sums a run in laps of order terms, by slices
+and C-level maps, and rotates the sum; a value already folded is returned
+as it is.  A window [n] at q^stride is taken on each cycle of q^stride
+modulo the order, from prefix sums of the cycle taken twice; no linear
+window is built.
 """
 
 from __future__ import annotations
@@ -32,7 +39,8 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, zip_longest
+from itertools import accumulate, repeat, zip_longest
+from operator import add, neg, sub
 
 # Schoolbook up to this many coefficient products.  Timed on the flat
 # operands of each benchmark workload against values from 0 to 4096, 1024
@@ -90,7 +98,9 @@ def _unpack(value, bits, n):
     # Balanced digit extraction of coefficients in [-2^(bits-1), 2^(bits-1)).
     # A negative value is read from its negation, whose coefficients lie in
     # (-2^(bits-1), 2^(bits-1)]; a digit at or above the halfway mark (past
-    # it, for a negation) encodes a negative coefficient plus a carry.
+    # it, for a negation) encodes a negative coefficient plus a carry.  A
+    # carry out of the top digit, or a nonzero digit above the n read, means
+    # the value does not fit n digits, as a wrong digit bound would give.
     negate = value < 0
     if negate:
         value = -value
@@ -108,7 +118,7 @@ def _unpack(value, bits, n):
         else:
             carry = 0
         out.append(-d if negate else d)
-    if carry:
+    if carry or any(raw[n * nb:]):
         raise OverflowError(
             f"Kronecker unpack: {bits}-bit digits overflow {n} coefficients")
     return out
@@ -248,19 +258,27 @@ def _window_slide(run, n, stride=1):
 def _window_slide_cyclic(run, n, stride, order):
     """_window_slide in Z[q]/(q^order - 1), for a run folded to length order.
 
-    q^(p*stride) = 1 for p = order / g, g = gcd(stride, order), so the factor
-    is n // p whole periods plus a window of n mod p terms, and a whole
-    period adds each residue class's total mod g to every exponent of that
-    class.
+    q^stride moves the exponents mod order in g = gcd(stride, order) cycles
+    of p = order / g terms; the cycle through c < g is
+    (run * (stride // g))[c::stride].  On each cycle the factor is n // p
+    whole turns, which add the cycle's total to each of its terms, plus a
+    window of n mod p terms, a difference of prefix sums of the cycle taken
+    twice.  Cycle c is written to buf[c::stride] of a buffer of p*stride
+    terms, whose fold places every exponent once; when stride divides order
+    the buffer is already folded and is returned as it is.
     """
     g = math.gcd(stride, order)
-    laps, rest = divmod(n, order // g)
-    out = (_fold_cyclic(_window_slide(run, rest, stride), 0, order) if rest
-           else [0] * order)
-    if laps:
-        whole = [laps * c for c in _fold_cyclic(run, 0, g)] * (order // g)
-        out = [a + b for a, b in zip(out, whole)]
-    return out
+    period = order // g
+    laps, rest = divmod(n, period)
+    turns = run * (stride // g)
+    buf = [0] * (period * stride)
+    for c in range(g):
+        cycle = turns[c::stride]
+        pref = list(accumulate(cycle + cycle, initial=0))
+        window = map(sub, pref[period + 1:],
+                     pref[period + 1 - rest:2 * period + 1 - rest])
+        buf[c::stride] = map(add, window, repeat(laps * pref[period]))
+    return buf if g == stride else _fold_cyclic(buf, 0, order)
 
 
 def _divexact_lists(num, den):
@@ -321,17 +339,22 @@ def _divmod_monic_lists(num, mod):
 
 def _fold_cyclic(coeffs, base, order):
     # Replace q^e by q^(e mod order); valid against any modulus dividing
-    # q^order - 1.  base is the absolute exponent of coeffs[0].
-    out = [0] * order
-    if len(coeffs) >= 4 * order:
-        # many laps: one C-level sum over each residue's stride slice
-        for i in range(order):
-            out[(base + i) % order] = sum(coeffs[i::order])
-        return out
-    for i, c in enumerate(coeffs):
-        if c:
-            out[(base + i) % order] += c
-    return out
+    # q^order - 1.  base is the absolute exponent of coeffs[0].  The terms
+    # are summed in laps of order terms, then rotated by base mod order: a
+    # run below four laps is added lap by lap (one lap is a copy), and from
+    # four laps on each residue's stride slice is summed in C.
+    size = len(coeffs)
+    if size < 4 * order:
+        out = list(coeffs[:order])
+        if size < order:
+            out += [0] * (order - size)
+        for lo in range(order, size, order):
+            lap = coeffs[lo:lo + order]
+            out[:len(lap)] = map(add, out, lap)
+    else:
+        out = [sum(coeffs[i::order]) for i in range(order)]
+    shift = base % order
+    return out[-shift:] + out[:-shift] if shift else out
 
 
 @dataclass(frozen=True)
@@ -581,6 +604,8 @@ class QPoly(_DensePoly):
         """Image in Z[q]/(q^order - 1): exponent e becomes e mod order."""
         if order < 1:
             raise ValueError("fold order must be >= 1")
+        if len(self.coeffs) <= order:
+            return self
         return QPoly(_fold_cyclic(self.coeffs, 0, order))
 
     def mul_cyclic(self, other, order):
@@ -588,7 +613,8 @@ class QPoly(_DensePoly):
 
         With folded operands no product spans more than 2*order - 1 terms.
         """
-        return QPoly(_convolve(self.coeffs, other.coeffs)).fold(order)
+        return QPoly(_fold_cyclic(_convolve(self.coeffs, other.coeffs), 0,
+                                  order))
 
     def subst_q_squared(self):
         out = [0] * (2 * len(self.coeffs) - 1) if self.coeffs else []
@@ -744,8 +770,7 @@ class QLaurent:
                     cur[0] = lo = new_lo
                     cur[1] = run = grown
                 off = qmin - lo
-                seg = run[off:off + len(cs)]
-                run[off:off + len(cs)] = [x + y for x, y in zip(seg, cs)]
+                run[off:off + len(cs)] = map(add, run[off:off + len(cs)], cs)
         return cls(runs)
 
     def __add__(self, other):
@@ -770,7 +795,7 @@ class QLaurent:
 
     def __neg__(self):
         return QLaurent(tuple(
-            None if s is None else (s[0], tuple(-c for c in s[1]))
+            None if s is None else (s[0], tuple(map(neg, s[1])))
             for s in self._slices))
 
     def __mul__(self, other):
@@ -862,9 +887,31 @@ class QLaurent:
         """
         if order < 1:
             raise ValueError("fold order must be >= 1")
+        if all(s is None or 0 <= s[0] and s[0] + len(s[1]) <= order
+               for s in self._slices):
+            return self
         return QLaurent(tuple(
             None if s is None else (0, _fold_cyclic(s[1], s[0], order))
             for s in self._slices))
+
+    def _slice_power(self, alpha, order=None):
+        """The value whose x^d slice is the alpha-th power of this value's
+        x^d slice.  Given an order, the fold of that value, with each product
+        folded before the next one."""
+        out = []
+        for s in self._slices:
+            if s is None:
+                out.append(None)
+                continue
+            qmin, run = s
+            power = run
+            for _ in range(alpha - 1):
+                power = _convolve(power, run)
+                if order is not None:
+                    power = _fold_cyclic(power, 0, order)
+            out.append((alpha * qmin, power))
+        value = QLaurent(out)
+        return value if order is None else value.fold(order)
 
     def subst_q_squared(self):
         """q -> q^2."""
@@ -875,8 +922,7 @@ class QLaurent:
                 continue
             qmin, cs = s
             run = [0] * (2 * len(cs) - 1)
-            for i, c in enumerate(cs):
-                run[2 * i] = c
+            run[::2] = cs
             out.append((2 * qmin, run))
         return QLaurent(out)
 

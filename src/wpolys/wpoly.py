@@ -4,11 +4,10 @@ block polynomials used by the congruence lemmas."""
 from __future__ import annotations
 
 import math
-import operator
-from functools import cache
+from functools import cache, lru_cache
 
 from .intcomb import binomial_general, narayana_number, w_number
-from .polyring import QLaurent, XPoly
+from .polyring import QLaurent, QPoly, XPoly
 from .qobjects import cyclotomic, q_binomial, q_binomial_poly
 from .verdicts import Verdict
 
@@ -41,42 +40,104 @@ def _defining_base(k, j):
             - q_binomial(k, j) * q_binomial(k + j, j - 1))
 
 
+def _w_shift(k, j):
+    # q-shift of slice j of q_w_poly(k, 1); alpha multiplies it
+    return math.comb(j + 1, 2) - (k + 1) * (j - 1)
+
+
+def _base_rows(k, j):
+    # the four Gaussian binomials of the j-th defining base, in the order
+    # qbinom(k-1,j-1), qbinom(k+j,j), qbinom(k,j), qbinom(k+j,j-1)
+    return (q_binomial_poly(k - 1, j - 1), q_binomial_poly(k + j, j),
+            q_binomial_poly(k, j), q_binomial_poly(k + j, j - 1))
+
+
 @cache
 def q_w_poly(k, alpha, order=None):
     """q-analogue of w_alpha_poly(k, alpha): for each j in 1..k the base
     qbinom(k-1,j-1)qbinom(k+j,j) - qbinom(k,j)qbinom(k+j,j-1), raised to
     alpha, shifted by q^(alpha*(C(j+1,2)-(k+1)(j-1))), attached to x^(j-1).
 
-    With an order, the image in Z[x][q]/(q^order - 1) (see QLaurent.fold):
-    each Gaussian binomial is folded first and every product after it, so no
-    operand spans more than 2*order q-terms.
+    Slice j of the value is thus the alpha-th power of slice j at alpha = 1,
+    and alpha > 1 is built from the cached alpha = 1 value, whose build
+    checks the support of the defining sum.  With an order, the image in
+    Z[x][q]/(q^order - 1) (see QLaurent.fold): each Gaussian binomial is
+    folded first and every product after it, so no operand spans more than
+    2*order q-terms.
     """
     if k < 1 or alpha < 1:
         raise ValueError("q_w_poly needs k, alpha >= 1")
+    if alpha > 1:
+        one = q_w_poly(k, 1) if order is None else q_w_poly(k, 1, order)
+        return one._slice_power(alpha, order)
     if not (_defining_base(k, 0).is_zero()
             and _defining_base(k, k + 1).is_zero()):
         raise ArithmeticError(
-            f"q_w_poly({k}, {alpha}): the defining sum has support outside "
+            f"q_w_poly({k}, 1): the defining sum has support outside "
             f"j in [1, {k}]")
-    if order is None:
-        binom, mul = q_binomial_poly, operator.mul
-    else:
-        def binom(n, i):
-            return q_binomial_poly(n, i).fold(order)
-
-        def mul(p, r):
-            return p.mul_cyclic(r, order)
     slices = []
     for j in range(1, k + 1):
-        base = (mul(binom(k - 1, j - 1), binom(k + j, j))
-                - mul(binom(k, j), binom(k + j, j - 1)))
-        power = base
-        for _ in range(alpha - 1):
-            power = mul(power, base)
-        shift = alpha * (math.comb(j + 1, 2) - (k + 1) * (j - 1))
-        slices.append((shift, power.coeffs))
+        a, b, c, d = _base_rows(k, j)
+        if order is None:
+            base = a * b - c * d
+        else:
+            a, b, c, d = (row.fold(order) for row in (a, b, c, d))
+            base = a.mul_cyclic(b, order) - c.mul_cyclic(d, order)
+        slices.append((_w_shift(k, j), base.coeffs))
     value = QLaurent(slices)
     return value if order is None else value.fold(order)
+
+
+def _base_lowest_term(k, j):
+    """(e, c) for the lowest term c*q^e of the j-th defining base, or None
+    when the base is zero.
+
+    The first t coefficients of a product are those of the product of its
+    factors cut to t terms, so t doubles until such a cut base has a
+    nonzero term; the full base is never built.  t starts at k + 1, so a
+    base whose lowest term lies at q^k or below takes one round, as every
+    base with j <= k <= 30 does (a test pins it); the search is exact from
+    any start.
+    """
+    rows = [row.coeffs for row in _base_rows(k, j)]
+    size = max(len(rows[0]) + len(rows[1]), len(rows[2]) + len(rows[3])) - 1
+    t = k + 1
+    while True:
+        a, b, c, d = (QPoly(row[:t]) for row in rows)
+        low = (a * b - c * d).coeffs[:t]
+        for e, coeff in enumerate(low):
+            if coeff:
+                return e, coeff
+        if t >= size:
+            return None
+        t *= 2
+
+
+@lru_cache(maxsize=256)
+def _slice_lowest_terms(k):
+    # (x-degree, e, c) for the lowest term c*q^e of each nonzero slice of
+    # q_w_poly(k, 1); bounded, so that the table does not grow with the
+    # process's history
+    lows = []
+    for j in range(1, k + 1):
+        low = _base_lowest_term(k, j)
+        if low is not None:
+            lows.append((j - 1, low[0] + _w_shift(k, j), low[1]))
+    return tuple(lows)
+
+
+def _q_w_lowest_term(k, alpha):
+    """q_w_poly(k, alpha).lowest_term(), read off the bases' lowest terms:
+    slice j is the alpha-th power of slice j at alpha = 1, and Z has no zero
+    divisors, so its lowest term is (alpha*e, c^alpha) for that slice's
+    (e, c)."""
+    lows = _slice_lowest_terms(k)
+    e = alpha * min(f for _, f, _ in lows)
+    row = [0] * (lows[-1][0] + 1)
+    for d, f, c in lows:
+        if alpha * f == e:
+            row[d] = c ** alpha
+    return e, XPoly(row)
 
 
 def _alt_base(k, j):

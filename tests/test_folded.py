@@ -98,6 +98,53 @@ def test_cancelled_lowest_terms_rebuild_the_same_witness(statement,
     assert calls == [False, True]
 
 
+def _spy_q_w_poly(monkeypatch):
+    # every q_w_poly call from congruence and from q_w_poly itself; the
+    # congruence memo tables are cleared so that no earlier test answers
+    # for q_w_poly
+    calls = []
+    real = wpoly.q_w_poly
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    for table in (congruence._w_power, congruence._w_power_q2,
+                  congruence._w_run):
+        table.cache_clear()
+    monkeypatch.setattr(wpoly, "q_w_poly", spy)
+    monkeypatch.setattr(congruence, "q_w_poly", spy)
+    return calls
+
+
+GRIDS = (
+    ("thm-qsum-plain", (("n", 2, 7), ("alpha", 1, 2), ("r", 1, 2))),
+    ("thm-qsum-alternating", (("n", 2, 7), ("alpha", 1, 3))),
+    ("thm-qsum-product", (("n", 2, 6), ("m", 1, 2))),
+    ("thm-qsum-general", (("n", 2, 6), ("beta", 1, 2), ("alpha", 1, 2))),
+)
+
+
+@pytest.mark.parametrize("statement,ranges", GRIDS)
+def test_passing_qsum_grid_builds_only_folded_w_polynomials(
+        statement, ranges, monkeypatch):
+    calls = _spy_q_w_poly(monkeypatch)
+    verdicts = congruence.grid_verify(congruence.GridSpec(statement, ranges))
+    assert verdicts and all(v.passed for v in verdicts)
+    assert calls
+    assert all(len(args) == 3 and args[2] is not None for args in calls), \
+        [args for args in calls if len(args) < 3]
+
+
+def test_cancelled_lowest_terms_still_build_the_full_value(monkeypatch):
+    calls = _spy_q_w_poly(monkeypatch)
+    monkeypatch.setattr(congruence, "_lowest_q_exp", lambda *args: None)
+    params = {"n": 5, "alpha": 2, "m": 1, "r": 1}
+    assert STATEMENTS["thm-qsum-plain"].runner(params, False) == [
+        _full_verdict("thm-qsum-plain", params, False)]
+    assert any(len(args) == 2 for args in calls)
+
+
 def test_lowest_terms_give_the_full_value_lowest_exponent():
     rng = random.Random(5)
     for statement, (build, _, summands_of) in FULL_PATH.items():

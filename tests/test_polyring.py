@@ -461,6 +461,69 @@ def test_folded_qint_splits_into_whole_periods():
                         == v.mul_qint_power(big, r, stride).fold(order))
 
 
+def _termwise_fold(coeffs, base, order):
+    out = [0] * order
+    for i, c in enumerate(coeffs):
+        out[(base + i) % order] += c
+    return out
+
+
+def test_fold_cyclic_matches_the_termwise_fold():
+    # copy or rotation within one lap, lap-by-lap sums up to four laps and
+    # stride-slice sums from four laps on, each at negative and large bases
+    rng = random.Random(79)
+    for order in range(1, 13):
+        for laps in range(9):
+            for extra in {0, 1, order - 1}:
+                size = max(0, laps * order + extra - (order if laps else 0))
+                run = [rng.randint(-50, 50) for _ in range(size)]
+                for base in (0, 1, -1, -order - 2, 3 * order + 1,
+                             rng.randint(-100, 100)):
+                    want = _termwise_fold(run, base, order)
+                    got = polyring._fold_cyclic(run, base, order)
+                    assert got == want, (order, size, base)
+                    assert polyring._fold_cyclic(tuple(run), base,
+                                                 order) == want
+
+
+def test_window_slide_cyclic_matches_the_folded_linear_window():
+    # prefix sums on each cycle of q^stride, for strides that divide the
+    # order and for those that do not
+    import math
+    rng = random.Random(83)
+    for order in range(1, 41):
+        for stride in range(1, 7):
+            period = order // math.gcd(stride, order)
+            run = [rng.randint(-10 ** 6, 10 ** 6) for _ in range(order)]
+            sizes = {0, 1, period - 1, period, period + 1, 2 * period + 1,
+                     3 * period, rng.randint(1, 3 * period)}
+            for n in sorted(size for size in sizes if size >= 0):
+                want = (polyring._fold_cyclic(
+                    polyring._window_slide(run, n, stride), 0, order)
+                    if n else [0] * order)
+                got = polyring._window_slide_cyclic(run, n, stride, order)
+                assert got == want, (order, stride, n)
+
+
+def test_fold_of_a_folded_value_is_that_value():
+    v = QLaurent.parse("q^2*(1 + x) + q^4*(3*x^2)")
+    assert v.fold(5) is v
+    assert v.fold(4) == QLaurent.parse("(3*x^2) + q^2*(1 + x)")
+    assert v.shift_q(-1).fold(5) == QLaurent.parse(
+        "q*(1 + x) + q^3*(3*x^2)")
+
+
+def test_unpack_rejects_a_digit_above_its_n_blocks():
+    # a nonzero digit past the n digits read means a wrong digit bound, as
+    # in _decimal_unpack; pytest.raises is not stripped by python -O
+    for value, bits, n in ((256, 8, 1), (1 << 16, 8, 2), (-256, 8, 1),
+                           (1 << 40, 16, 2), ((1 << 24) + 5, 8, 2)):
+        with pytest.raises(OverflowError):
+            _unpack(value, bits, n)
+    assert _unpack(_pack([-1, 1], 8), 8, 2) == [-1, 1]
+    assert _unpack(-(1 << 8), 8, 2) == [0, -1]
+
+
 def test_rem_monic_cyclic_matches_rem_monic_below_zero():
     from wpolys.qobjects import cyclotomic
     rng = random.Random(71)

@@ -1,5 +1,8 @@
+import math
+
+from wpolys import wpoly
 from wpolys.intcomb import w_number
-from wpolys.polyring import DivisionWitness, QLaurent, XPoly
+from wpolys.polyring import DivisionWitness, QLaurent, QPoly, XPoly
 from wpolys.wpoly import (
     b_poly,
     lemma_congruence_check,
@@ -86,6 +89,71 @@ def test_q_w_poly_alt_form_agrees():
     for k in range(1, 9):
         for alpha in (1, 2):
             assert q_w_poly_alt(k, alpha) == q_w_poly(k, alpha)
+
+
+def _defining_value(k, alpha):
+    # the defining sum built term by term from QLaurent binomials, with no
+    # slice taken from another value
+    return QLaurent.sum(
+        (wpoly._defining_base(k, j) ** alpha).shift_q(
+            alpha * (math.comb(j + 1, 2) - (k + 1) * (j - 1)))
+        * QLaurent.monomial(1, x_degree=j - 1)
+        for j in range(1, k + 1))
+
+
+def _x_slice(value, d):
+    # the x^d slice of a QLaurent value, as a QLaurent in q alone
+    return QLaurent.sum(QLaurent.monomial(c.coeff(d), q_exp=e)
+                        for e, c in value.terms.items())
+
+
+def test_slice_j_at_alpha_is_the_alpha_power_of_slice_j_at_one():
+    for k in range(1, 21):
+        one = _defining_value(k, 1)
+        assert q_w_poly(k, 1) == one
+        for alpha in (2, 3):
+            value = _defining_value(k, alpha)
+            assert q_w_poly(k, alpha) == value
+            for d in range(k):
+                assert _x_slice(value, d) == _x_slice(one, d) ** alpha
+            for order in (3, 7, 12, 32):
+                folded = q_w_poly(k, alpha, order)
+                assert folded == value.fold(order)
+                for d in range(k):
+                    assert _x_slice(folded, d) == (
+                        _x_slice(q_w_poly(k, 1, order), d) ** alpha
+                    ).fold(order)
+
+
+def test_lowest_term_without_the_full_value():
+    for k in range(1, 31):
+        for alpha in (1, 2, 3):
+            assert (wpoly._q_w_lowest_term(k, alpha)
+                    == q_w_poly(k, alpha).lowest_term()), (k, alpha)
+
+
+def test_every_defining_base_starts_at_q_to_the_k():
+    # found by the search in _base_lowest_term, which assumes nothing of it
+    for k in range(1, 31):
+        for j in range(1, k + 1):
+            assert wpoly._base_lowest_term(k, j) == (k, 1)
+            assert (wpoly._defining_base(k, j).lowest_term()
+                    == (k, XPoly.const(1)))
+
+
+def test_base_lowest_term_search_past_the_first_cuts(monkeypatch):
+    # at k = 4 the first cut has 5 terms, and [10] - [6] = q^6 + ... + q^9
+    # needs the second; equal products make the base zero
+    ten, six, one = QPoly([1] * 10), QPoly([1] * 6), QPoly([1])
+    monkeypatch.setattr(wpoly, "_base_rows",
+                        lambda k, j: (ten, one, six, one))
+    assert wpoly._base_lowest_term(4, 2) == (6, 1)
+    monkeypatch.setattr(wpoly, "_base_rows",
+                        lambda k, j: (ten, one, six, ten))
+    assert wpoly._base_lowest_term(4, 2) == (1, -1)
+    monkeypatch.setattr(wpoly, "_base_rows",
+                        lambda k, j: (six, ten, ten, six))
+    assert wpoly._base_lowest_term(4, 2) is None
 
 
 def test_b_poly_frozen():
