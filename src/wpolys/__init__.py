@@ -34,7 +34,6 @@ from .intcomb import (
 )
 from .polyring import DivisionWitness, QLaurent, QPoly, XPoly
 from .qobjects import (
-    CyclotomicCache,
     cyclotomic,
     lemma31_check,
     q_binomial,

@@ -247,11 +247,8 @@ def _window_slide(run, n, stride=1):
                 - (pref[i - n] if i >= n else 0)
                 for i in range(w + n - 1)]
     out = [0] * (len(run) + stride * (n - 1))
-    for res in range(stride):
-        cls = run[res::stride]
-        if cls:
-            for j, val in enumerate(_window_slide(cls, n)):
-                out[res + stride * j] = val
+    for res in range(min(stride, len(run))):
+        out[res::stride] = _window_slide(run[res::stride], n)
     return out
 
 
@@ -618,8 +615,7 @@ class QPoly(_DensePoly):
 
     def subst_q_squared(self):
         out = [0] * (2 * len(self.coeffs) - 1) if self.coeffs else []
-        for i, c in enumerate(self.coeffs):
-            out[2 * i] = c
+        out[::2] = self.coeffs
         return QPoly(out)
 
 

@@ -78,47 +78,30 @@ def q_binomial(n, k):
     return QLaurent.from_qpoly(base, q_shift=n * k - math.comb(k, 2))
 
 
-class CyclotomicCache:
-    """Memo table d -> cyclotomic polynomial; entries immutable once stored.
-
-    Grids run in one thread and take no lock; were two threads to race, the
-    recompute gives the same value and setdefault keeps one copy.
-    """
-
-    def __init__(self):
-        self._table: dict[int, QPoly] = {}
-
-    def get(self, d):
-        if d <= 0:
-            raise ValueError("cyclotomic index must be positive")
-        hit = self._table.get(d)
-        if hit is not None:
-            return hit
-        num = QPoly([1])
-        den = QPoly([1])
-        for e in divisors(d):
-            mu = mobius(d // e)
-            if mu == 0:
-                continue
-            factor = QPoly([-1] + [0] * (e - 1) + [1])
-            if mu == 1:
-                num = num * factor
-            else:
-                den = den * factor
-        phi = num.divexact(den)
-        if isinstance(phi, DivisionWitness):
-            raise ArithmeticError(f"cyclotomic({d}) is not exact: {phi}")
-        if not phi.is_monic() or (d > 1 and phi.coeff(0) != 1):
-            raise ArithmeticError(
-                f"cyclotomic({d}) = {phi} is not monic with constant term 1")
-        return self._table.setdefault(d, phi)
-
-
-_CYCLOTOMIC = CyclotomicCache()
-
-
+@cache
 def cyclotomic(d):
-    return _CYCLOTOMIC.get(d)
+    """The d-th cyclotomic polynomial, as the exact quotient of the
+    (q^e - 1)^mobius(d/e) over divisors e of d."""
+    if d <= 0:
+        raise ValueError("cyclotomic index must be positive")
+    num = QPoly([1])
+    den = QPoly([1])
+    for e in divisors(d):
+        mu = mobius(d // e)
+        if mu == 0:
+            continue
+        factor = QPoly([-1] + [0] * (e - 1) + [1])
+        if mu == 1:
+            num = num * factor
+        else:
+            den = den * factor
+    phi = num.divexact(den)
+    if isinstance(phi, DivisionWitness):
+        raise ArithmeticError(f"cyclotomic({d}) is not exact: {phi}")
+    if not phi.is_monic() or (d > 1 and phi.coeff(0) != 1):
+        raise ArithmeticError(
+            f"cyclotomic({d}) = {phi} is not monic with constant term 1")
+    return phi
 
 
 def qint_factorization_check(n):

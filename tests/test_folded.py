@@ -229,6 +229,23 @@ def test_failing_lemma23_equation_gives_the_full_witness(monkeypatch):
             assert v.witness == str(rem)
 
 
+def test_passing_lemma23_grid_builds_only_alpha_one_blocks(monkeypatch):
+    calls = []
+    real = wpoly.b_poly
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(wpoly, "b_poly", spy)
+    verdicts = congruence.grid_verify(congruence.GridSpec(
+        "lemma-23", (("a", 0, 2), ("d", 3, 8), ("alpha", 1, 3))))
+    assert verdicts and all(v.passed for v in verdicts)
+    assert calls
+    assert all(args[3] == 1 for args in calls), \
+        [args for args in calls if args[3] != 1]
+
+
 def test_q_w_poly_support_guard_raises_on_the_order_path(monkeypatch):
     monkeypatch.setattr(wpoly, "_defining_base",
                         lambda k, j: QLaurent.one())

@@ -486,6 +486,21 @@ def test_fold_cyclic_matches_the_termwise_fold():
                                                  order) == want
 
 
+def test_window_slide_matches_the_explicit_factor():
+    # 1 + q^stride + ... + q^((n-1)*stride) multiplied out by _convolve, on
+    # runs shorter and longer than the stride
+    rng = random.Random(89)
+    for stride in range(1, 7):
+        for size in sorted({1, stride - 1, stride, stride + 1, 3 * stride + 2,
+                            rng.randint(1, 40)} - {0}):
+            run = [rng.randint(-10 ** 6, 10 ** 6) for _ in range(size)]
+            for n in (1, 2, 3, stride + 1, rng.randint(1, 12)):
+                factor = [0] * (stride * (n - 1) + 1)
+                factor[::stride] = [1] * n
+                assert (polyring._window_slide(run, n, stride)
+                        == _convolve(run, factor)), (stride, size, n)
+
+
 def test_window_slide_cyclic_matches_the_folded_linear_window():
     # prefix sums on each cycle of q^stride, for strides that divide the
     # order and for those that do not
@@ -569,7 +584,7 @@ wpoly._defining_base = lambda k, j: QLaurent.one()
 checks.append(raises(wpoly.q_w_poly, 3, 1))
 QPoly.divexact = lambda self, other: DivisionWitness("remainder", 0, "forced")
 checks.append(raises(qobjects._ratio_step, (1,), 1, 2))
-checks.append(raises(qobjects.CyclotomicCache().get, 6))
+checks.append(raises(qobjects.cyclotomic, 6))
 print(checks)
 """
     done = subprocess.run(

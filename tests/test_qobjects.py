@@ -3,7 +3,6 @@ import random
 
 from wpolys.polyring import QLaurent, QPoly
 from wpolys.qobjects import (
-    CyclotomicCache,
     _qbinom_poly,
     cyclotomic,
     lemma31_check,
@@ -127,8 +126,9 @@ def test_cyclotomic_degree_and_shape():
 
 def test_cyclotomic_cache_identity():
     assert cyclotomic(30) is cyclotomic(30)
-    fresh = CyclotomicCache()
-    assert fresh.get(12) == cyclotomic(12)
+    cached = cyclotomic(12)
+    cyclotomic.cache_clear()
+    assert cyclotomic(12) == cached
 
 
 def test_qint_factorization():

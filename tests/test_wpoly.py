@@ -1,7 +1,7 @@
 import math
 
 from wpolys import wpoly
-from wpolys.intcomb import w_number
+from wpolys.intcomb import binomial_general, w_number
 from wpolys.polyring import DivisionWitness, QLaurent, QPoly, XPoly
 from wpolys.wpoly import (
     b_poly,
@@ -161,6 +161,40 @@ def test_b_poly_frozen():
     v = b_poly(1, 1, 4, 2)
     assert not v.is_zero()
     assert v.x_degree() <= 1 * 4 + (4 - 1) - 1
+
+
+def _accumulated_b_poly(a, b, d, alpha):
+    # the block polynomial summed term by term: each t-base raised to the
+    # alpha, signed, scaled, shifted and placed by a monomial product
+    acc = QLaurent.zero()
+    for s in range(a + 1):
+        cfac = (binomial_general(a, s) * binomial_general(-a - 1, s)) ** alpha
+        for t in range(1, d):
+            base = wpoly._block_base(b, d, t)
+            if base.is_zero():
+                continue
+            term = (base ** alpha) * cfac
+            if (alpha * (s * d + t)) & 1:
+                term = -term
+            term = term.shift_q(alpha * t * t)
+            acc = acc + term * QLaurent.monomial(1, x_degree=s * d + t - 1)
+    return acc
+
+
+def _block_cells():
+    return [(a, b, d, alpha) for a in range(4) for d in range(3, 13)
+            for b in range(1, d - 1) for alpha in (1, 2, 3)]
+
+
+def test_b_poly_matches_the_accumulated_sum():
+    for cell in _block_cells():
+        assert b_poly(*cell) == _accumulated_b_poly(*cell), cell
+
+
+def test_folded_block_at_alpha_is_the_slice_power_of_the_folded_block_at_one():
+    for a, b, d, alpha in _block_cells():
+        assert (b_poly(a, b, d, 1).fold(d)._slice_power(alpha, d)
+                == b_poly(a, b, d, alpha).fold(d)), (a, b, d, alpha)
 
 
 def test_b_poly_rejects_bad_domain():
