@@ -73,6 +73,27 @@ def _sub_lists(a, b):
     return [x - y for x, y in zip_longest(a, b, fillvalue=0)]
 
 
+def _stretch(run):
+    # a run taken at q^2: a zero between neighbouring terms
+    out = [0] * (2 * len(run) - 1) if run else []
+    out[::2] = run
+    return out
+
+
+def _power(base, n, one):
+    # base ** n by square-and-multiply, starting from one
+    if n < 0:
+        raise ValueError(f"negative power of a {type(base).__name__}")
+    result = one
+    while n:
+        if n & 1:
+            result = result * base
+        n >>= 1
+        if n:
+            base = base * base
+    return result
+
+
 def _pack(coeffs, bits):
     # Two's-complement pack: negative entries are stored masked, and an
     # indicator integer holding 1 one digit above each negative entry is
@@ -94,34 +115,28 @@ def _pack(coeffs, bits):
     return value
 
 
-def _unpack(value, bits, n):
-    # Balanced digit extraction of coefficients in [-2^(bits-1), 2^(bits-1)).
-    # A negative value is read from its negation, whose coefficients lie in
-    # (-2^(bits-1), 2^(bits-1)]; a digit at or above the halfway mark (past
-    # it, for a negation) encodes a negative coefficient plus a carry.  A
-    # carry out of the top digit, or a nonzero digit above the n read, means
-    # the value does not fit n digits, as a wrong digit bound would give.
-    negate = value < 0
-    if negate:
-        value = -value
-    nb = bits >> 3
-    raw = value.to_bytes(n * nb + nb, "little")
-    half = 1 << (bits - 1)
-    full = 1 << bits
-    out = []
-    carry = 0
-    for i in range(n):
-        d = int.from_bytes(raw[i * nb:(i + 1) * nb], "little") + carry
-        if d >= half + negate:
-            d -= full
-            carry = 1
-        else:
-            carry = 0
-        out.append(-d if negate else d)
-    if carry or any(raw[n * nb:]):
+def _balanced(digits, width, read, arg, half, n):
+    # Balanced digit extraction of n coefficients in [-half, half), base
+    # 2*half.  Adding half at each of the n digits makes every digit the
+    # coefficient plus half.  digits holds that sum's plain digits, most
+    # significant first, width items each, and read(block, arg) reads one.
+    # The sum lies in [0, base^n) exactly when the value is n such
+    # coefficients; otherwise, as a wrong digit bound would give, digits is
+    # None and this raises.
+    if digits is None:
         raise OverflowError(
-            f"Kronecker unpack: {bits}-bit digits overflow {n} coefficients")
-    return out
+            f"Kronecker unpack: the value overflows {n} balanced digits")
+    blocks = [digits[i - width:i] for i in range(len(digits), 0, -width)]
+    return list(map(sub, map(read, blocks, repeat(arg)), repeat(half)))
+
+
+def _unpack(value, bits, n):
+    nb = bits >> 3
+    # half is 0x80 followed by nb - 1 zero bytes
+    value += int.from_bytes((b"\x80" + bytes(nb - 1)) * n, "big")
+    fits = value >= 0 and value.bit_length() <= n * bits
+    return _balanced(value.to_bytes(n * nb, "big") if fits else None, nb,
+                     int.from_bytes, "big", 1 << (bits - 1), n)
 
 
 def _decimal_context():
@@ -155,29 +170,21 @@ def _decimal_pack(coeffs, digits, context):
 
 
 def _decimal_unpack(value, digits, n):
-    # Balanced base-10^digits extraction, as _unpack does in base 2^bits.
-    text = str(value)
-    negate = text.startswith("-")
-    text = text.lstrip("-").zfill(n * digits)
-    full = 10 ** digits
-    half = full // 2
-    out = []
-    carry = 0
-    end = len(text)
-    for _ in range(n):
-        d = int(text[end - digits:end]) + carry
-        end -= digits
-        if d >= half + negate:
-            d -= full
-            carry = 1
-        else:
-            carry = 0
-        out.append(-d if negate else d)
-    if carry or text[:end].strip("0"):
-        raise OverflowError(
-            f"Kronecker unpack: {digits}-digit blocks overflow {n} "
-            "coefficients")
-    return out
+    # _unpack in base 10^digits.  The bias is built by doubling, because
+    # reading it from a string of n blocks costs as much as the whole unpack.
+    context = _decimal_context()
+    half = 10 ** digits // 2
+    bias = blocks = 0
+    for bit in bin(n)[2:]:
+        bias = context.add(bias, context.scaleb(bias, blocks * digits))
+        blocks *= 2
+        if bit == "1":
+            bias = context.add(context.scaleb(bias, digits), half)
+            blocks += 1
+    text = str(context.add(value, bias))
+    fits = not text.startswith("-") and len(text) <= n * digits
+    return _balanced(text.zfill(n * digits) if fits else None, digits,
+                     int, 10, half, n)
 
 
 def _str_digit_cap():
@@ -508,17 +515,7 @@ class _DensePoly:
         return NotImplemented
 
     def __pow__(self, n):
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        result = type(self).const(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return _power(self, n, type(self).const(1))
 
     def _coerce(self, other):
         if isinstance(other, int):
@@ -610,13 +607,13 @@ class QPoly(_DensePoly):
 
         With folded operands no product spans more than 2*order - 1 terms.
         """
+        if order < 1:
+            raise ValueError("order must be >= 1")
         return QPoly(_fold_cyclic(_convolve(self.coeffs, other.coeffs), 0,
                                   order))
 
     def subst_q_squared(self):
-        out = [0] * (2 * len(self.coeffs) - 1) if self.coeffs else []
-        out[::2] = self.coeffs
-        return QPoly(out)
+        return QPoly(_stretch(self.coeffs))
 
 
 def _slice_norm(qmin, coeffs):
@@ -789,18 +786,16 @@ class QLaurent:
             return NotImplemented
         return other + (-self)
 
+    def _map(self, fn):
+        # fn(qmin, run) -> (qmin, run) on each nonempty x-slice
+        return QLaurent([None if s is None else fn(*s) for s in self._slices])
+
     def __neg__(self):
-        return QLaurent(tuple(
-            None if s is None else (s[0], tuple(map(neg, s[1])))
-            for s in self._slices))
+        return self._map(lambda qmin, cs: (qmin, map(neg, cs)))
 
     def __mul__(self, other):
         if isinstance(other, int):
-            if other == 0:
-                return _QL_ZERO
-            return QLaurent(tuple(
-                None if s is None else (s[0], tuple(other * c for c in s[1]))
-                for s in self._slices))
+            return self._map(lambda qmin, cs: (qmin, [other * c for c in cs]))
         if isinstance(other, QLaurent):
             return _ql_mul(self, other)
         return NotImplemented
@@ -808,17 +803,7 @@ class QLaurent:
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        if n < 0:
-            raise ValueError("negative power of a QLaurent")
-        result = _QL_ONE
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return _power(self, n, _QL_ONE)
 
     @staticmethod
     def _coerce(other):
@@ -830,19 +815,13 @@ class QLaurent:
 
     def shift_q(self, e):
         """Multiply by q^e."""
-        if e == 0 or self.is_zero():
+        if e == 0:
             return self
-        return QLaurent(tuple(
-            None if s is None else (s[0] + e, s[1]) for s in self._slices))
+        return self._map(lambda qmin, cs: (qmin + e, cs))
 
     def mul_qpoly(self, p):
         """Multiply by a QPoly without lifting it to a QLaurent."""
-        if p.is_zero() or self.is_zero():
-            return _QL_ZERO
-        cs = list(p.coeffs)
-        return QLaurent(tuple(
-            None if s is None else (s[0], _convolve(list(s[1]), cs))
-            for s in self._slices))
+        return self._map(lambda qmin, cs: (qmin, _convolve(cs, p.coeffs)))
 
     def mul_qint_power(self, n, r=1, stride=1, order=None):
         """Multiply by the r-th power of 1 + q^stride + ... + q^((n-1)*stride).
@@ -859,19 +838,15 @@ class QLaurent:
             raise ValueError("need n >= 1, r >= 0, stride >= 1, order >= 1")
         if r == 0 or n == 1 or self.is_zero():
             return self if order is None else self.fold(order)
-        out = []
-        for s in self._slices:
-            if s is None:
-                out.append(None)
-                continue
-            qmin, run = s
+
+        def window(qmin, run):
             if order is not None:
                 qmin, run = 0, _fold_cyclic(run, qmin, order)
             for _ in range(r):
                 run = (_window_slide(run, n, stride) if order is None
                        else _window_slide_cyclic(run, n, stride, order))
-            out.append((qmin, run))
-        return QLaurent(tuple(out))
+            return qmin, run
+        return self._map(window)
 
     def fold(self, order):
         """Image in Z[x][q]/(q^order - 1): each exponent e becomes e mod
@@ -886,41 +861,26 @@ class QLaurent:
         if all(s is None or 0 <= s[0] and s[0] + len(s[1]) <= order
                for s in self._slices):
             return self
-        return QLaurent(tuple(
-            None if s is None else (0, _fold_cyclic(s[1], s[0], order))
-            for s in self._slices))
+        return self._map(lambda qmin, cs: (0, _fold_cyclic(cs, qmin, order)))
 
     def _slice_power(self, alpha, order=None):
         """The value whose x^d slice is the alpha-th power of this value's
         x^d slice.  Given an order, the fold of that value, with each product
         folded before the next one."""
-        out = []
-        for s in self._slices:
-            if s is None:
-                out.append(None)
-                continue
-            qmin, run = s
-            power = run
+
+        def power(qmin, run):
+            out = run
             for _ in range(alpha - 1):
-                power = _convolve(power, run)
+                out = _convolve(out, run)
                 if order is not None:
-                    power = _fold_cyclic(power, 0, order)
-            out.append((alpha * qmin, power))
-        value = QLaurent(out)
+                    out = _fold_cyclic(out, 0, order)
+            return alpha * qmin, out
+        value = self._map(power)
         return value if order is None else value.fold(order)
 
     def subst_q_squared(self):
         """q -> q^2."""
-        out = []
-        for s in self._slices:
-            if s is None:
-                out.append(None)
-                continue
-            qmin, cs = s
-            run = [0] * (2 * len(cs) - 1)
-            run[::2] = cs
-            out.append((2 * qmin, run))
-        return QLaurent(out)
+        return self._map(lambda qmin, cs: (2 * qmin, _stretch(cs)))
 
     def eval_q_one(self):
         """Specialize q = 1, collapsing each x slice to its coefficient sum."""
@@ -971,20 +931,12 @@ class QLaurent:
         """
         self._check_modulus(mod)
         shift = max(0, -self.min_q_exp())
-        mcs = list(mod.coeffs)
-        quots = []
-        rems = []
-        for s in self._slices:
-            if s is None:
-                quots.append(None)
-                rems.append(None)
-                continue
-            qmin, cs = s
-            run = [0] * (qmin + shift) + list(cs)
-            qq, rr = _divmod_monic_lists(run, mcs)
-            quots.append((0, qq))
-            rems.append((0, rr))
-        return QLaurent(quots), QLaurent(rems), shift
+
+        # the reference path: each part divides every slice on its own
+        def part(i):
+            return self._map(lambda qmin, cs: (0, _divmod_monic_lists(
+                [0] * (qmin + shift) + list(cs), mod.coeffs)[i]))
+        return part(0), part(1), shift
 
     def rem_monic_cyclic(self, mod, order):
         """rem_monic fast path for a modulus dividing q^order - 1.
@@ -994,19 +946,13 @@ class QLaurent:
         grew.  Agrees exactly with rem_monic.
         """
         self._check_modulus(mod)
+        if order < 1:
+            raise ValueError("order must be >= 1")
         if not _divides_q_power_minus_one(mod.coeffs, order):
             raise ValueError(f"modulus does not divide q^{order} - 1")
         shift = max(0, -self.min_q_exp())
-        mcs = list(mod.coeffs)
-        out = []
-        for s in self._slices:
-            if s is None:
-                out.append(None)
-                continue
-            qmin, cs = s
-            folded = _fold_cyclic(cs, qmin + shift, order)
-            out.append((0, _divmod_monic_lists(folded, mcs)[1]))
-        return QLaurent(out)
+        return self._map(lambda qmin, cs: (0, _divmod_monic_lists(
+            _fold_cyclic(cs, qmin + shift, order), mod.coeffs)[1]))
 
     @staticmethod
     def _check_modulus(mod):
@@ -1026,7 +972,6 @@ class QLaurent:
         text = text.strip()
         if text == "0":
             return _QL_ZERO
-        table: dict[int, dict[int, int]] = {}
         depth = 0
         start = 0
         chunks = []
@@ -1043,6 +988,7 @@ class QLaurent:
         if depth:
             raise ValueError(f"unbalanced parens in {text!r}")
         chunks.append(text[start:])
+        terms = {}
         for chunk in chunks:
             chunk = chunk.strip()
             if not chunk.endswith(")"):
@@ -1061,28 +1007,10 @@ class QLaurent:
                     raise ValueError(f"bad q monomial {mon!r} in {text!r}")
             else:
                 raise ValueError(f"malformed QLaurent term {chunk!r}")
-            if e in table:
+            if e in terms:
                 raise ValueError(f"repeated q exponent {e} in {text!r}")
-            table[e] = _parse_terms(inner, "x")
-        xmax = 0
-        for xt in table.values():
-            for d in xt:
-                if d < 0:
-                    raise ValueError(f"negative x exponent in {text!r}")
-                xmax = max(xmax, d)
-        slices = []
-        for d in range(xmax + 1):
-            entries = [(e, xt[d]) for e, xt in table.items() if xt.get(d)]
-            if not entries:
-                slices.append(None)
-                continue
-            entries.sort()
-            lo = entries[0][0]
-            run = [0] * (entries[-1][0] - lo + 1)
-            for e, c in entries:
-                run[e - lo] = c
-            slices.append((lo, run))
-        return cls(slices)
+            terms[e] = XPoly.parse(inner)
+        return cls.sum(cls.from_xpoly(p).shift_q(e) for e, p in terms.items())
 
 
 @lru_cache(maxsize=None)

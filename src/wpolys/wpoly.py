@@ -141,9 +141,7 @@ def _q_w_lowest_term(k, alpha):
 
 
 def _alt_base(k, j):
-    first = (q_binomial(k - 1, j - 1) * q_binomial(-k - 1, j)).shift_q(k + 1)
-    second = q_binomial(k, j) * q_binomial(-k - 2, j - 1)
-    return first + second
+    return _block_base(k, 0, j)     # the t-base of b_poly at d = 0
 
 
 def q_w_poly_alt(k, alpha):

@@ -354,3 +354,24 @@ def test_running_integer_sums_in_grids_match_direct_sums():
             assert int_sum_lcm_quotient(p["n"], 1, p["beta"], 1, 1) == (
                 _lcm_quotient(_direct_window_sum(p["n"], 1, p["beta"], 1, 1),
                               p["n"], p["beta"]))
+
+
+def test_faulted_qsum_witnesses_parse_back_to_the_runner_remainder(
+        monkeypatch):
+    # every witness of a faulted grid is the text of the remainder the
+    # runner computed, and QLaurent.parse reads it back to that value
+    remainders = []
+    rem_monic_cyclic = QLaurent.rem_monic_cyclic
+
+    def spy(self, mod, order):
+        rem = rem_monic_cyclic(self, mod, order)
+        remainders.append(rem)
+        return rem
+
+    monkeypatch.setattr(QLaurent, "rem_monic_cyclic", spy)
+    verdicts = grid_verify(GridSpec("thm-qsum-plain", ranges=(("n", 2, 6),),
+                                    inject_fault=True))
+    assert len(verdicts) == len(remainders) == 5
+    for v, rem in zip(verdicts, remainders):
+        assert not v.passed and not rem.is_zero()
+        assert QLaurent.parse(v.witness) == rem

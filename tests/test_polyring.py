@@ -746,3 +746,142 @@ print(checks)
         capture_output=True, text=True, timeout=60,
         env=dict(os.environ, PYTHONPATH=src))
     assert done.stdout.strip() == "[True, True, True]", done.stderr
+
+
+def _gappy_qlaurent(rng):
+    # leading and interior empty x-slices, negative q exponents
+    slices = [None] * rng.randint(0, 2)
+    for _ in range(rng.randint(1, 5)):
+        if rng.random() < 0.3:
+            slices.append(None)
+            continue
+        run = [rng.randint(-9, 9) for _ in range(rng.randint(1, 9))]
+        slices.append((rng.randint(-12, 8), run))
+    return QLaurent(slices)
+
+
+def _map_terms(terms, fn):
+    # terms {(q exponent, x degree): c}; fn((e, i), c) yields new terms
+    out = {}
+    for key, c in terms.items():
+        for new, d in fn(key, c):
+            out[new] = out.get(new, 0) + d
+    return {key: c for key, c in out.items() if c}
+
+
+def _slice_power_terms(terms, alpha, order):
+    out = {}
+    for i in {i for _, i in terms}:
+        row = {e: c for (e, j), c in terms.items() if j == i}
+        power = {0: 1}
+        for _ in range(alpha):
+            product = {}
+            for e, c in power.items():
+                for f, d in row.items():
+                    product[e + f] = product.get(e + f, 0) + c * d
+            power = product
+        for e, c in power.items():
+            key = (e % order if order else e, i)
+            out[key] = out.get(key, 0) + c
+    return {key: c for key, c in out.items() if c}
+
+
+def _divmod_terms(terms, mod, shift):
+    # long division of each x-slice of q^shift * value by the monic mod
+    top = len(mod.coeffs) - 1
+    quot, rem = {}, {}
+    for i in {i for _, i in terms}:
+        run = {e + shift: c for (e, j), c in terms.items() if j == i}
+        while run and max(run) >= top:
+            e = max(run)
+            c = run.pop(e)
+            if c:
+                quot[e - top, i] = c
+                for k, m in enumerate(mod.coeffs[:-1]):
+                    run[e - top + k] = run.get(e - top + k, 0) - c * m
+        rem.update({(e, i): c for e, c in run.items() if c})
+    return quot, rem
+
+
+def test_slice_map_methods_match_termwise_references():
+    # every method built on QLaurent._map, against a reference that works
+    # term by term from QLaurent.terms
+    from wpolys.qobjects import cyclotomic
+    rng = random.Random(97)
+    for _ in range(250):
+        v = _gappy_qlaurent(rng)
+        terms = _as_terms(v)
+        k = rng.choice((-3, -1, 0, 2, 7))
+        e = rng.randint(-9, 9)
+        p = QPoly([rng.randint(-5, 5) for _ in range(rng.randint(0, 4))])
+        n, r, stride = rng.randint(1, 6), rng.randint(0, 3), rng.randint(1, 3)
+        order = rng.randint(1, 9)
+        alpha = rng.randint(1, 3)
+        assert _as_terms(-v) == _map_terms(terms, lambda key, c: [(key, -c)])
+        assert _as_terms(v * k) == _as_terms(k * v) == _map_terms(
+            terms, lambda key, c: [(key, k * c)])
+        assert _as_terms(v.shift_q(e)) == _map_terms(
+            terms, lambda key, c: [((key[0] + e, key[1]), c)])
+        assert _as_terms(v.mul_qpoly(p)) == _map_terms(
+            terms, lambda key, c: [((key[0] + j, key[1]), c * pj)
+                                   for j, pj in enumerate(p.coeffs)])
+        assert _as_terms(v.subst_q_squared()) == _map_terms(
+            terms, lambda key, c: [((2 * key[0], key[1]), c)])
+        folded = _map_terms(terms, lambda key, c: [((key[0] % order, key[1]),
+                                                     c)])
+        assert _as_terms(v.fold(order)) == folded
+        window = terms
+        for _ in range(r):
+            window = _map_terms(window, lambda key, c: [
+                ((key[0] + j * stride, key[1]), c) for j in range(n)])
+        assert _as_terms(v.mul_qint_power(n, r, stride)) == window
+        assert _as_terms(v.mul_qint_power(n, r, stride, order)) == _map_terms(
+            window, lambda key, c: [((key[0] % order, key[1]), c)])
+        assert _as_terms(v._slice_power(alpha)) == _slice_power_terms(
+            terms, alpha, None)
+        assert _as_terms(v._slice_power(alpha, order)) == _slice_power_terms(
+            terms, alpha, order)
+        d = rng.randint(2, 8)
+        mod = cyclotomic(d)
+        quot, rem, shift = v.divmod_monic(mod)
+        assert shift == max(0, -v.min_q_exp())
+        assert (_as_terms(quot), _as_terms(rem)) == _divmod_terms(
+            terms, mod, shift)
+        assert _as_terms(v.rem_monic_cyclic(mod, d * rng.randint(1, 3))) == (
+            _divmod_terms(terms, mod, shift)[1])
+
+
+def test_qlaurent_parse_round_trips_and_rejects_malformed_text():
+    assert QLaurent.parse("0") == QLaurent.zero()
+    assert QLaurent.parse(" 0 ").is_zero()
+    text = "q^-3*(2*x^4) + q^-1*(-7) + (x^2) + q^5*(1 - x)"
+    assert str(QLaurent.parse(text)) == text
+    assert QLaurent.parse("q^-2*(x^2) + q^3*(5*x^4)") == QLaurent(
+        [None, None, (-2, [1]), None, (3, [5])])
+    assert QLaurent.parse("q*(3) + q^-1*(x)") == QLaurent(
+        [(1, [3]), (-1, [1])])
+    rng = random.Random(101)
+    for _ in range(200):
+        v = _gappy_qlaurent(rng)
+        assert QLaurent.parse(str(v)) == v
+    for bad in ("q^2*(1) + q^2*(x)",         # repeated q exponent
+                "q*(1) + q^1*(x)",
+                "q*(1 + x", "q*(1)) + (2", ")(",  # unbalanced parens
+                "z^2*(1)", "q^2(1)", "q^x*(1)", "5",  # bad q monomial
+                "q^2*(1 + y)", "q*()",       # bad x polynomial
+                "q*(x^-2)"):                 # negative x exponent
+        with pytest.raises(ValueError):
+            QLaurent.parse(bad)
+
+
+def test_cyclic_order_below_one_raises():
+    # pytest.raises is not stripped by python -O
+    for order in (0, -1, -2):
+        with pytest.raises(ValueError):
+            QLaurent.one().rem_monic_cyclic(QPoly([-1, 1]), order)
+        with pytest.raises(ValueError):
+            QPoly([1, 2, 3]).mul_cyclic(QPoly([1, 1]), order)
+        with pytest.raises(ValueError):
+            QLaurent.one().fold(order)
+        with pytest.raises(ValueError):
+            QPoly([1, 2]).fold(order)
