@@ -8,6 +8,7 @@ import random
 import time
 from dataclasses import dataclass, replace
 from functools import cache
+from itertools import chain
 
 from .intcomb import divisors, lcm_range, rising_factorial, w_identity_suite
 from .polyring import DivisionWitness, QLaurent, QPoly, XPoly
@@ -32,19 +33,31 @@ def _fold(value, order):
     return value if order is None else value.fold(order)
 
 
+def _fold_power(value, m, order=None):
+    # value^m by square-and-multiply, folded after each product
+    out = value
+    for bit in bin(m)[3:]:
+        out = _fold(out * out, order)
+        if bit == "1":
+            out = _fold(out * value, order)
+    return out
+
+
+def _split(count):
+    # A run of count > 1 factors is the run of its first 2^i factors, 2^i the
+    # largest power of two below count, times the run of the rest: a product
+    # tree, balanced when count is a power of two, whose subtrees
+    # neighbouring windows share.
+    return 1 << (count - 1).bit_length() - 1
+
+
 @cache
 def _w_power(k, alpha, m, order=None):
     """q_w_poly(k, alpha) to the m, folded mod q^order - 1 when an order is
     given.  Callers pass order positionally so that each value has one key."""
-    if m == 1:
-        # the full value's memo key in q_w_poly has no order
-        return (q_w_poly(k, alpha) if order is None
-                else q_w_poly(k, alpha, order))
-    half = _w_power(k, alpha, m // 2, order)
-    out = _fold(half * half, order)
-    if m & 1:
-        out = _fold(out * _w_power(k, alpha, 1, order), order)
-    return out
+    # the full value's memo key in q_w_poly has no order
+    return _fold_power(q_w_poly(k, alpha) if order is None
+                       else q_w_poly(k, alpha, order), m, order)
 
 
 @cache
@@ -59,23 +72,49 @@ def _w_power_q2(k, alpha, m, order=None):
 
 @cache
 def _w_run(k, alpha, m, count, order=None):
-    # product of w_j^alpha to the m over j = k .. k+count-1
+    """The product of q_w_poly(j, alpha)^m over j = k .. k+count-1, folded
+    when an order is given: for m > 1 the m-th power of the m = 1 run, else
+    the product of the two cached runs that _split gives."""
     if count == 1:
         return _w_power(k, alpha, m, order)
-    return _fold(_w_run(k, alpha, m, count - 1, order)
-                 * _w_power(k + count - 1, alpha, m, order), order)
+    if m > 1:
+        return _fold_power(_w_run(k, alpha, 1, count, order), m, order)
+    half = _split(count)
+    return _fold(_w_run(k, alpha, 1, half, order)
+                 * _w_run(k + half, alpha, 1, count - half, order), order)
+
+
+@cache
+def _run_lowest_term(k, alpha, m, count):
+    """_w_run(k, alpha, m, count).lowest_term(), built in the shape of
+    _w_run from the factors' lowest terms (see _Summand.lowest_term)."""
+    if count == 1:
+        e, c = _q_w_lowest_term(k, alpha)
+        return m * e, c ** m
+    if m > 1:
+        e, c = _run_lowest_term(k, alpha, 1, count)
+        return m * e, c ** m
+    half = _split(count)
+    e, c = _run_lowest_term(k, alpha, 1, half)
+    f, d = _run_lowest_term(k + half, alpha, 1, count - half)
+    return e + f, c * d
 
 
 @cache
 def _wx_power(k, alpha, m):
-    return w_alpha_poly(k, alpha) ** m
+    return _fold_power(w_alpha_poly(k, alpha), m)
 
 
 @cache
 def _wx_run(k, alpha, m, count):
+    # the q = 1 image of _w_run, built in the same shape
     if count == 1:
         return _wx_power(k, alpha, m)
-    return _wx_run(k, alpha, m, count - 1) * _wx_power(k + count - 1, alpha, m)
+    if m > 1:
+        return _fold_power(_wx_run(k, alpha, 1, count), m)
+    half = _split(count)
+    return _wx_run(k, alpha, 1, half) * _wx_run(k + half, alpha, 1,
+                                                count - half)
 
 
 def _check_positive(**kwargs):
@@ -123,11 +162,7 @@ class _Summand:
         w factor's lowest term comes from its bases' lowest terms, without
         the full w-polynomial.
         """
-        e, c = 0, XPoly.const(1)
-        for j in range(self.k, self.k + self.count):
-            ej, cj = _q_w_lowest_term(j, self.alpha)
-            e += self.m * ej
-            c = c * cj ** self.m
+        e, c = _run_lowest_term(self.k, self.alpha, self.m, self.count)
         if self.doubled:
             e *= 2
         return e + self.shift, -c if self.negative else c
@@ -168,8 +203,31 @@ def _general_summands(n, alpha, beta, m, r):
             for k in range(1, n)]
 
 
-def _qsum(summands, order):
-    return QLaurent.sum(t.value(order) for t in summands)
+# series -> (n, full value) of the last full q-sum built; one entry only.
+# When n grows, every old summand's q-shift grows by the series' step and
+# nothing else of it changes, so V(n) = q^((n-n0)*step) V(n0) plus the
+# summands k = n0..n-1 of n.  Memoising every summand's n-independent core
+# instead would hold far more memory than this one value.
+_RUNNING_QSUM = {}
+
+
+def _qsum(summands, n, args, step, order):
+    """The sum of summands(n, *args), folded mod q^order - 1 when an order
+    is given.  A full value extends the last full value of its series when
+    that was built for an n no larger; anything else starts over."""
+    if order is not None:
+        return QLaurent.sum(t.value(order) for t in summands(n, *args))
+    series = (summands, *args)
+    done, value = _RUNNING_QSUM.get(series, (1, QLaurent.zero()))
+    if done > n:
+        done, value = 1, QLaurent.zero()
+    if done < n:
+        value = QLaurent.sum(chain(
+            (value.shift_q((n - done) * step),),
+            (t.value() for t in summands(n, *args)[done - 1:])))
+    _RUNNING_QSUM.clear()
+    _RUNNING_QSUM[series] = (n, value)
+    return value
 
 
 def qsum_plain(n, alpha, m, r, order=None):
@@ -180,21 +238,23 @@ def qsum_plain(n, alpha, m, r, order=None):
     Z[x][q]/(q^order - 1) (see QLaurent.fold), built without the full value.
     """
     _check_positive(n=n, alpha=alpha, m=m, r=r)
-    return _qsum(_plain_summands(n, alpha, m, r), order)
+    return _qsum(_plain_summands, n, (alpha, m, r), alpha * m + 1, order)
 
 
 def qsum_alternating(n, alpha, m, r, order=None):
     """Alternating variant: (-1)^k, the k(k+1) weight taken at q^2, the
     w-polynomial at q^2, and shift exponent (n-1-k)(2*alpha*m+1)."""
     _check_positive(n=n, alpha=alpha, m=m, r=r)
-    return _qsum(_alternating_summands(n, alpha, m, r), order)
+    return _qsum(_alternating_summands, n, (alpha, m, r),
+                 2 * alpha * m + 1, order)
 
 
 def qsum_product(n, alpha, m, r, order=None):
     """Neighbour-product variant: weights [k(k+2)]^r [2(k+1)], summand
     (w_k w_{k+1})^m, shift exponent (n-2-k)(2*alpha*m+1)."""
     _check_positive(n=n, alpha=alpha, m=m, r=r)
-    return _qsum(_product_summands(n, alpha, m, r), order)
+    return _qsum(_product_summands, n, (alpha, m, r), 2 * alpha * m + 1,
+                 order)
 
 
 def qsum_general(n, alpha, beta, m, r, order=None):
@@ -202,7 +262,8 @@ def qsum_general(n, alpha, beta, m, r, order=None):
     summand the product of 2*beta consecutive w powers, shift exponent
     (n-2*beta-k)(2*beta*alpha*m+1)."""
     _check_positive(n=n, alpha=alpha, beta=beta, m=m, r=r)
-    return _qsum(_general_summands(n, alpha, beta, m, r), order)
+    return _qsum(_general_summands, n, (alpha, beta, m, r),
+                 2 * beta * alpha * m + 1, order)
 
 
 def verify_divisible_by_qn(value, n, statement="mod-qn", params=None):

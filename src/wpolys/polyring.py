@@ -36,6 +36,7 @@ window is built.
 from __future__ import annotations
 
 import math
+import re
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
@@ -406,7 +407,9 @@ def _parse_terms(text, var):
     text = text.strip()
     if not text:
         raise ValueError("empty polynomial text")
-    norm = text.replace("-", "+-").replace("++", "+")
+    # every minus sign starts a term, except one right after "^": that one
+    # belongs to the exponent, which the caller's check then rejects
+    norm = re.sub(r"(?<!\^)-", "+-", text).replace("++", "+")
     if norm.startswith("+"):
         norm = norm[1:]
     coeffs: dict[int, int] = {}

@@ -33,8 +33,10 @@ from wpolys.wpoly import q_w_poly, q_w_poly_alt, schroder_poly, w_alpha_poly
 
 def _clear_heavy_caches():
     for fn in (congruence._w_power, congruence._w_power_q2, congruence._w_run,
-               congruence._wx_power, congruence._wx_run):
+               congruence._run_lowest_term, congruence._wx_power,
+               congruence._wx_run):
         fn.cache_clear()
+    congruence._RUNNING_QSUM.clear()
 
 
 def test_criterion_1_plain_sum_mod_qn():

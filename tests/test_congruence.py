@@ -1,6 +1,7 @@
 import math
 import random
 
+from wpolys import congruence
 from wpolys.congruence import (
     GridError,
     GridSpec,
@@ -23,7 +24,7 @@ from wpolys.congruence import (
 from wpolys.intcomb import lcm_range, rising_factorial
 from wpolys.polyring import DivisionWitness, QLaurent, XPoly
 from wpolys.qobjects import q_integer
-from wpolys.wpoly import w_alpha_poly
+from wpolys.wpoly import q_w_poly, w_alpha_poly
 
 
 def test_qsum_frozen_values():
@@ -354,6 +355,73 @@ def test_running_integer_sums_in_grids_match_direct_sums():
             assert int_sum_lcm_quotient(p["n"], 1, p["beta"], 1, 1) == (
                 _lcm_quotient(_direct_window_sum(p["n"], 1, p["beta"], 1, 1),
                               p["n"], p["beta"]))
+
+
+def test_balanced_runs_match_a_left_to_right_chain():
+    # every count up to 6 splits unevenly somewhere (3 = 2 + 1, 5 = 4 + 1,
+    # 6 = 4 + 2); the chain multiplies one factor at a time, as a window
+    # is written
+    rng = random.Random(41)
+    for m in (1, 2, 3):
+        for count in range(1, 7):
+            k, alpha = rng.randint(1, 3), rng.randint(1, 2)
+            chain, xchain = QLaurent.one(), XPoly.const(1)
+            for j in range(k, k + count):
+                chain = chain * q_w_poly(j, alpha) ** m
+                xchain = xchain * w_alpha_poly(j, alpha) ** m
+            args = (k, alpha, m, count)
+            assert congruence._w_run(*args, None) == chain, args
+            assert congruence._wx_run(*args) == xchain, args
+            assert congruence._run_lowest_term(*args) == chain.lowest_term()
+            for order in sorted(rng.sample(range(2, 13), 3)):
+                assert (congruence._w_run(*args, order)
+                        == chain.fold(order)), (args, order)
+
+
+# statement builder, its summand table, and two series of its parameters
+QSUM_SERIES = (
+    (qsum_plain, congruence._plain_summands,
+     {"alpha": 1, "m": 1, "r": 1}, {"alpha": 2, "m": 1, "r": 2}),
+    (qsum_alternating, congruence._alternating_summands,
+     {"alpha": 1, "m": 1, "r": 1}, {"alpha": 1, "m": 2, "r": 1}),
+    (qsum_product, congruence._product_summands,
+     {"alpha": 1, "m": 1, "r": 1}, {"alpha": 2, "m": 1, "r": 1}),
+    (qsum_general, congruence._general_summands,
+     {"alpha": 1, "beta": 1, "m": 1, "r": 1},
+     {"alpha": 1, "beta": 2, "m": 1, "r": 2}),
+)
+
+
+def test_running_full_qsums_match_the_summand_tables(monkeypatch):
+    # one series alone extends its running value (1 -> 5 -> 7 and 3 -> 8),
+    # starts over when n falls, by one or more, and reuses it when n
+    # repeats; two series interleaved start over at each call.  Only the new
+    # summands are built.
+    built = []
+    value = congruence._Summand.value
+
+    def spy(self, order=None):
+        built.append(self.k)
+        return value(self, order)
+
+    monkeypatch.setattr(congruence._Summand, "value", spy)
+    congruence._RUNNING_QSUM.clear()
+    ns = (1, 5, 7, 6, 3, 3, 8)
+    # the first summand k each call builds
+    starts = (1, 1, 5, 1, 1, 3, 3) + (1,) * (2 * len(ns))
+    for build, summands, first, second in QSUM_SERIES:
+        calls = [(n, first) for n in ns]
+        calls += [(n, p) for n in ns for p in (first, second)]
+        for (n, p), start in zip(calls, starts):
+            del built[:]
+            got = build(n, **p)
+            assert built == list(range(start, n)), (build.__name__, n, p)
+            assert got == QLaurent.sum(t.value() for t in summands(n, **p)), (
+                build.__name__, n, p)
+        # a folded value leaves the running value as it was
+        kept = dict(congruence._RUNNING_QSUM)
+        build(6, **second, order=6)
+        assert congruence._RUNNING_QSUM == kept
 
 
 def test_faulted_qsum_witnesses_parse_back_to_the_runner_remainder(

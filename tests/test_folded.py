@@ -100,8 +100,8 @@ def test_cancelled_lowest_terms_rebuild_the_same_witness(statement,
 
 def _spy_q_w_poly(monkeypatch):
     # every q_w_poly call from congruence and from q_w_poly itself; the
-    # congruence memo tables are cleared so that no earlier test answers
-    # for q_w_poly
+    # congruence memo tables and the running full q-sum are cleared so that
+    # no earlier test answers for q_w_poly
     calls = []
     real = wpoly.q_w_poly
 
@@ -112,6 +112,7 @@ def _spy_q_w_poly(monkeypatch):
     for table in (congruence._w_power, congruence._w_power_q2,
                   congruence._w_run):
         table.cache_clear()
+    congruence._RUNNING_QSUM.clear()
     monkeypatch.setattr(wpoly, "q_w_poly", spy)
     monkeypatch.setattr(congruence, "q_w_poly", spy)
     return calls

@@ -874,6 +874,15 @@ def test_qlaurent_parse_round_trips_and_rejects_malformed_text():
             QLaurent.parse(bad)
 
 
+def test_negative_exponent_text_names_the_negative_exponent():
+    for parse, text in ((XPoly.parse, "x^-2"), (XPoly.parse, "1 - x^-2"),
+                        (QPoly.parse, "q^-1"),
+                        (QLaurent.parse, "q*(x^-2)"),
+                        (QLaurent.parse, "q^-1*(3 - x^-2)")):
+        with pytest.raises(ValueError, match="negative exponent"):
+            parse(text)
+
+
 def test_cyclic_order_below_one_raises():
     # pytest.raises is not stripped by python -O
     for order in (0, -1, -2):
