@@ -9,9 +9,11 @@ import time
 from dataclasses import dataclass, replace
 from functools import cache
 from itertools import chain
+from operator import add, sub
 
 from .intcomb import divisors, lcm_range, rising_factorial, w_identity_suite
-from .polyring import DivisionWitness, QLaurent, QPoly, XPoly
+from .polyring import (DivisionWitness, QLaurent, QPoly, XPoly,
+                       _window_slide_cyclic)
 from .qobjects import (_q_lucas_remainder, cyclotomic, lemma31_check,
                        q_lucas_check)
 from .verdicts import Verdict
@@ -142,15 +144,19 @@ class _Summand:
     doubled: bool = False
     negative: bool = False
 
-    def value(self, order=None):
-        """The summand, folded mod q^order - 1 when an order is given."""
+    def base(self, order=None):
+        """The w-run, folded mod q^order - 1 when an order is given."""
         if self.doubled:
-            value = _w_power_q2(self.k, self.alpha, self.m, order)
-        else:
-            value = _w_run(self.k, self.alpha, self.m, self.count, order)
+            return _w_power_q2(self.k, self.alpha, self.m, order)
+        return _w_run(self.k, self.alpha, self.m, self.count, order)
+
+    def value(self):
+        """The full summand; _packed_qsum sums folded summands without
+        building it."""
+        value = self.base()
         for n, r, stride in self.weights:
-            value = value.mul_qint_power(n, r, stride, order)
-        value = _fold(value.shift_q(self.shift), order)
+            value = value.mul_qint_power(n, r, stride)
+        value = value.shift_q(self.shift)
         return -value if self.negative else value
 
     def lowest_term(self):
@@ -203,6 +209,43 @@ def _general_summands(n, alpha, beta, m, r):
             for k in range(1, n)]
 
 
+def _packed_qsum(summands, order):
+    """The sum of the summands in Z[x][q]/(q^order - 1), by Kronecker
+    substitution in x: one pass per q-column, not one per x-slice.
+
+    Each summand's folded w-run becomes its order q-columns under
+    x -> 2^bits (QLaurent._x_packed).  The weights are cyclic windows on
+    those integers, the q-shift a rotation, the sign a subtraction, and
+    the summands add into one accumulator, unpacked once at the end.
+    x -> 2^bits is a ring homomorphism Z[x] -> Z, and the weights, rotation,
+    sign and sum act on each q-column alone, so they commute with it.
+
+    The bound: a cyclic window [M] makes each output the sum of exactly M
+    inputs, so it multiplies the largest coefficient magnitude by at most M,
+    and every coefficient of the sum is at most bound = the sum over the
+    summands of maxabs(w-run) * prod M^r.  With bits = bit_length(bound) + 2
+    (whole bytes, for _unpack) each lies in [-2^(bits-1), 2^(bits-1)),
+    where the map is injective.  _unpack raises only on overflow out of the
+    top digit, so an under-estimated bound would decode wrongly and
+    raise nothing.
+    """
+    bases = [t.base(order) for t in summands]
+    bound = sum(base._max_abs() * math.prod(n ** r for n, r, _ in t.weights)
+                for t, base in zip(summands, bases))
+    bits = (bound.bit_length() + 2 + 7) & ~7
+    acc = [0] * order
+    for t, base in zip(summands, bases):
+        cols = base._x_packed(order, bits)
+        for n, r, stride in t.weights:
+            for _ in range(r):
+                cols = _window_slide_cyclic(cols, n, stride, order)
+        turn = order - t.shift % order
+        acc = list(map(sub if t.negative else add, acc,
+                       cols[turn:] + cols[:turn]))
+    depth = max((base.x_degree() for base in bases), default=0) + 1
+    return QLaurent._x_unpacked(acc, bits, depth)
+
+
 # series -> (n, full value) of the last full q-sum built; one entry only.
 # When n grows, every old summand's q-shift grows by the series' step and
 # nothing else of it changes, so V(n) = q^((n-n0)*step) V(n0) plus the
@@ -213,10 +256,11 @@ _RUNNING_QSUM = {}
 
 def _qsum(summands, n, args, step, order):
     """The sum of summands(n, *args), folded mod q^order - 1 when an order
-    is given.  A full value extends the last full value of its series when
-    that was built for an n no larger; anything else starts over."""
+    is given (_packed_qsum).  A full value extends the last full value of
+    its series when that was built for an n no larger; anything else starts
+    over."""
     if order is not None:
-        return QLaurent.sum(t.value(order) for t in summands(n, *args))
+        return _packed_qsum(summands(n, *args), order)
     series = (summands, *args)
     done, value = _RUNNING_QSUM.get(series, (1, QLaurent.zero()))
     if done > n:
@@ -235,7 +279,11 @@ def qsum_plain(n, alpha, m, r, order=None):
     times the m-th power of the q-analogue w-polynomial.
 
     Given an order, each qsum_* returns the image of its value in
-    Z[x][q]/(q^order - 1) (see QLaurent.fold), built without the full value.
+    Z[x][q]/(q^order - 1) (see QLaurent.fold), built without the full value:
+    the folded w-runs are packed under x -> 2^bits into one integer per
+    q-column, the weights, shifts and signs act on those integers, and the
+    sum is unpacked once.  That is exact because bits exceeds the bound on
+    the sum's coefficients (see _packed_qsum).
     """
     _check_positive(n=n, alpha=alpha, m=m, r=r)
     return _qsum(_plain_summands, n, (alpha, m, r), alpha * m + 1, order)
@@ -497,7 +545,8 @@ def _lowest_q_exp(summands, fault):
 
 def _qsum_runner(statement, build, summands, decide, multiple):
     """Cell runner of a q-sum statement: build the value in Z[x][q]/(q^N - 1)
-    with N = multiple * n, add the fault (+1) if asked, and decide it there.
+    with N = multiple * n, as one x-packed sum over its summands
+    (_packed_qsum), add the fault (+1) if asked, and decide it there.
 
     The modulus divides q^N - 1, so the folded value decides the cell.  The
     witness is the remainder of q^shift times the full value, with shift =

@@ -30,7 +30,9 @@ cycles, not over terms.  A fold sums a run in laps of order terms, by slices
 and C-level maps, and rotates the sum; a value already folded is returned
 as it is.  A window [n] at q^stride is taken on each cycle of q^stride
 modulo the order, from prefix sums of the cycle taken twice; no linear
-window is built.
+window is built.  A folded value can also be packed in x alone: under
+x -> 2^bits each of its order q-columns is one integer (_pack_columns), so
+q-side maps such as the cyclic window run once per column, not per x-slice.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, repeat, zip_longest
-from operator import add, neg, sub
+from operator import add, lshift, neg, sub
 
 # Schoolbook up to this many coefficient products.  Timed on the flat
 # operands of each benchmark workload against values from 0 to 4096, 1024
@@ -138,6 +140,29 @@ def _unpack(value, bits, n):
     fits = value >= 0 and value.bit_length() <= n * bits
     return _balanced(value.to_bytes(n * nb, "big") if fits else None, nb,
                      int.from_bytes, "big", 1 << (bits - 1), n)
+
+
+def _pack_columns(rows, bits):
+    # x -> 2^bits on each column of equal-length rows, rows[d] the x^d row:
+    # col[e] = sum over d of rows[d][e] * 2^(bits*d).  Rows are paired as
+    # (hi << w) + lo with w doubling at each level, and an odd last row goes
+    # up a level as it is: a product tree, in which each level moves every
+    # packed bit once.  Horner's rule would move the low rows again at every
+    # row, quadratic in the row count.
+    w = bits
+    while len(rows) > 1:
+        paired = [list(map(add, lo, map(lshift, hi, repeat(w))))
+                  for lo, hi in zip(rows[::2], rows[1::2])]
+        if len(rows) & 1:
+            paired.append(rows[-1])
+        rows, w = paired, 2 * w
+    return list(rows[0])
+
+
+def _unpack_columns(cols, bits, depth):
+    # Inverse of _pack_columns for depth rows of entries in [-2^(bits-1),
+    # 2^(bits-1)), bits a multiple of 8: the rows, as tuples.
+    return list(zip(*map(_unpack, cols, repeat(bits), repeat(depth))))
 
 
 def _decimal_context():
@@ -865,6 +890,28 @@ class QLaurent:
                for s in self._slices):
             return self
         return self._map(lambda qmin, cs: (0, _fold_cyclic(cs, qmin, order)))
+
+    def _max_abs(self):
+        # the largest coefficient magnitude; 0 for the zero value
+        return max((max(map(abs, s[1])) for s in self._slices if s is not None),
+                   default=0)
+
+    def _x_packed(self, order, bits):
+        """The fold mod q^order - 1 as its order q-columns under x -> 2^bits
+        (see _pack_columns)."""
+        rows = []
+        for s in self.fold(order)._slices:
+            row = [0] * order
+            if s is not None:
+                row[s[0]:s[0] + len(s[1])] = s[1]
+            rows.append(row)
+        return _pack_columns(rows or [[0] * order], bits)
+
+    @classmethod
+    def _x_unpacked(cls, cols, bits, depth):
+        """Inverse of _x_packed for x-degree below depth and coefficients in
+        [-2^(bits-1), 2^(bits-1)): the value with q^e-column cols[e]."""
+        return cls([(0, row) for row in _unpack_columns(cols, bits, depth)])
 
     def _slice_power(self, alpha, order=None):
         """The value whose x^d slice is the alpha-th power of this value's

@@ -171,6 +171,49 @@ def test_folded_builders_are_the_fold_of_the_full_value():
                     == qsum_general(n, alpha, 2, m, r).fold(order))
 
 
+def _packed_sum_cells():
+    # seeded cells of every q-sum with alpha, m and r up to 3, beta up to 2
+    # and n up to 10 (6 at beta = 2, whose full value takes seconds beyond
+    # that), then cells whose weights prod M^r dwarf the w-run coefficients
+    rng = random.Random(4242)
+    cells = []
+    for statement in FULL_PATH:
+        for _ in range(4):
+            p = {"n": rng.randint(2, 10), "alpha": rng.randint(1, 3)}
+            if statement == "thm-qsum-general":
+                p["beta"] = rng.randint(1, 2)
+                if p["beta"] == 2:
+                    p["n"] = min(p["n"], 6)
+            p["m"] = rng.randint(1, 3)
+            p["r"] = rng.randint(1, 3)
+            cells.append((statement, p))
+    cells += [("thm-qsum-plain", {"n": 10, "alpha": 1, "m": 1, "r": 3}),
+              ("thm-qsum-alternating", {"n": 9, "alpha": 1, "m": 1, "r": 3}),
+              ("thm-qsum-product", {"n": 8, "alpha": 1, "m": 1, "r": 3}),
+              ("thm-qsum-general",
+               {"n": 6, "alpha": 1, "beta": 2, "m": 1, "r": 3})]
+    # and an order N >= 1 that n does not divide
+    return [(statement, p, rng.choice([N for N in range(1, 2 * p["n"] + 3)
+                                       if N % p["n"]]))
+            for statement, p in cells]
+
+
+@pytest.mark.parametrize("statement,params,odd", _packed_sum_cells())
+def test_packed_qsum_is_the_fold_of_the_summed_summands(statement, params,
+                                                         odd):
+    # the x-packed folded sum at N = n, 2n, 1 and odd, against the full
+    # summands summed and then folded; and the runner's faulted verdict
+    # against the full value's
+    build, _, summands_of = FULL_PATH[statement]
+    n = params["n"]
+    full = QLaurent.sum(t.value() for t in summands_of(**params))
+    for order in (n, 2 * n, 1, odd):
+        assert build(**params, order=order) == full.fold(order), order
+    got = STATEMENTS[statement].runner(params, True)
+    assert got == [_full_verdict(statement, params, True)]
+    assert not got[0].passed
+
+
 def test_folded_q_w_poly_is_the_fold_of_the_full_value():
     for k in range(1, 31):
         for alpha in range(1, 4):

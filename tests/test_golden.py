@@ -1,6 +1,6 @@
 """Golden reports: SHA-256 digests of `wpolys verify` reports on small grids
 of every statement, of the --inject-fault reports of every statement that
-supports it, and of the `selftest` output.
+supports it, of one large folded q-sum cell, and of the `selftest` output.
 
 A refactor of the ring or statement layers must leave every digest
 unchanged.  A digest changes only when the report format or a verdict
@@ -76,6 +76,14 @@ GOLDEN = {
         "9eb21f7609a06192f1a93129795a626c36f3279d5158366b144ff2157aa3a428"),
 }
 
+# One folded cell at scale, passing and with --inject-fault (witness
+# q^11*(1)): its value has 189 x-slices and 858-bit coefficients.
+LARGE_CELL = (
+    ("thm-qsum-general", "--n", "24", "--beta", "2", "--alpha", "2", "--m",
+     "2"),
+    "9399582297d7abb4e0a2dcb3aa01fba7482ac4bff3281d3932adbc9e099dcc04",
+    "5ae6bc051f3e96a892bfc47ca60e47d6817c06f2c4b3119f497df001957db2b1")
+
 SELFTEST_SHA256 = (
     "3b090541cc0fcf4fc64e27b9d49991445ff9ad4928505fcd330983e562672039")
 
@@ -105,6 +113,15 @@ def test_verify_report_digest(statement, fault):
     argv = ["verify", statement, *grid, "--workers", "1"]
     if fault:
         argv.append("--inject-fault")
+    code, got = _run(argv)
+    assert code == (1 if fault else 0)
+    assert got == (fault_digest if fault else digest)
+
+
+@pytest.mark.parametrize("fault", (False, True), ids=("pass", "fault"))
+def test_large_folded_cell_report_digest(fault):
+    grid, digest, fault_digest = LARGE_CELL
+    argv = ["verify", *grid] + (["--inject-fault"] if fault else [])
     code, got = _run(argv)
     assert code == (1 if fault else 0)
     assert got == (fault_digest if fault else digest)

@@ -14,7 +14,9 @@ from wpolys.polyring import (
     _convolve,
     _kronecker,
     _pack,
+    _pack_columns,
     _unpack,
+    _unpack_columns,
 )
 
 
@@ -93,6 +95,36 @@ def test_pack_unpack_round_trip_at_the_digit_extremes():
         for c in ([-half], [-half, -half], [0, -half], [half - 1, -half],
                   [-half, -(half - 1)], [-(half - 1), half - 1]):
             assert _unpack(_pack(c, bits), bits, len(c)) == c
+
+
+def test_column_pack_unpack_round_trip_at_the_digit_extremes():
+    # every column of the rows under x -> 2^bits, packed as a product tree:
+    # row counts 1, 2, 3 and 7 (odd counts carry a row up a level), zero
+    # rows, N = 1 column, and entries at the ends of the balanced range
+    rng = random.Random(12)
+    for bits in (8, 16, 40):
+        half = 1 << (bits - 1)
+        extremes = (-half, half - 1, -(half - 1), 0, 1, -1)
+        for depth in (1, 2, 3, 7):
+            for order in (1, 2, 5):
+                for _ in range(20):
+                    rows = [[rng.choice(extremes) for _ in range(order)]
+                            for _ in range(depth)]
+                    if rng.random() < 0.3:
+                        rows[rng.randrange(depth)] = [0] * order
+                    cols = _pack_columns(rows, bits)
+                    assert cols == [sum(row[e] << bits * d
+                                        for d, row in enumerate(rows))
+                                    for e in range(order)]
+                    assert _unpack_columns(cols, bits, depth) == [
+                        tuple(row) for row in rows]
+                zero = [[0] * order for _ in range(depth)]
+                assert _unpack_columns(_pack_columns(zero, bits), bits,
+                                       depth) == [tuple(row) for row in zero]
+        for rows in ([[-half]], [[-half], [half - 1], [-half]],
+                     [[half - 1, -half]] * 7):
+            assert _unpack_columns(_pack_columns(rows, bits), bits,
+                                   len(rows)) == [tuple(r) for r in rows]
 
 
 def test_convolve_edge_cases():
