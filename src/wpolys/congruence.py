@@ -17,8 +17,8 @@ from .polyring import (DivisionWitness, QLaurent, QPoly, XPoly,
 from .qobjects import (_q_lucas_remainder, cyclotomic, lemma31_check,
                        q_lucas_check)
 from .verdicts import Verdict
-from .wpoly import (_q_w_lowest_term, lemma_congruence_check, q_w_poly,
-                    w_alpha_poly)
+from .wpoly import (_GRID_MEMO, _q_w_lowest_term, lemma_congruence_check,
+                    q_w_poly, w_alpha_poly)
 
 
 class GridError(ValueError):
@@ -745,7 +745,8 @@ def grid_verify(spec):
 def grid_stream(spec):
     """Check the request at once (GridError), then return a generator of the
     verdicts, cell by cell in lexicographic schema order as each is decided;
-    cells run one at a time in this thread, so reports are reproducible."""
+    cells run one at a time in this thread, so reports are reproducible.
+    The generator keeps one memo scope for the grid (wpoly._GRID_MEMO)."""
     schema = STATEMENTS.get(spec.statement)
     if schema is None:
         catalog = ", ".join(sorted(STATEMENTS))
@@ -762,9 +763,17 @@ def grid_stream(spec):
 
 
 def _run_cells(schema, cells, spec):
+    # The grid's memo scope (wpoly._GRID_MEMO): made at the first cell, set
+    # only while a cell runs, and dropped with this generator's frame when
+    # the grid ends or the generator is closed.
+    memo = {}
     for params in cells:
         t0 = time.perf_counter_ns()
-        verdicts = schema.runner(params, spec.inject_fault)
+        token = _GRID_MEMO.set(memo)
+        try:
+            verdicts = schema.runner(params, spec.inject_fault)
+        finally:
+            _GRID_MEMO.reset(token)
         if spec.timing:
             elapsed = (time.perf_counter_ns() - t0) // 1_000_000
             verdicts = [replace(v, elapsed_ms=elapsed) for v in verdicts]

@@ -43,7 +43,7 @@ import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, repeat, zip_longest
-from operator import add, lshift, neg, sub
+from operator import add, floordiv, lshift, mod as modulo, neg, sub
 
 # Schoolbook up to this many coefficient products.  Timed on the flat
 # operands of each benchmark workload against values from 0 to 4096, 1024
@@ -329,6 +329,13 @@ def _divexact_lists(num, den):
     if len(num) - 1 < dd:
         return None, DivisionWitness("remainder", len(num) - 1,
                                      "degree of remainder below divisor")
+    if not dd:
+        # a constant divisor: one C-level map for the remainders and one for
+        # the quotient; the top indivisible coefficient is the witness
+        top = len(_trim(list(map(modulo, num, repeat(lead))))) - 1
+        if top < 0:
+            return list(map(floordiv, num, repeat(lead))), None
+        return None, _indivisible(num[top], top, lead)
     q = [0] * (len(num) - dd)
     for pos in range(len(num) - 1 - dd, -1, -1):
         c = num[pos + dd]
@@ -336,9 +343,7 @@ def _divexact_lists(num, den):
             continue
         qc, rem = divmod(c, lead)
         if rem:
-            return None, DivisionWitness(
-                "coefficient", pos + dd,
-                f"coefficient {c} at degree {pos + dd} not divisible by {lead}")
+            return None, _indivisible(c, pos + dd, lead)
         q[pos] = qc
         for i, dc in enumerate(den):
             num[pos + i] -= qc * dc
@@ -348,6 +353,12 @@ def _divexact_lists(num, den):
             "remainder", len(leftover) - 1,
             f"nonzero remainder of degree {len(leftover) - 1}")
     return q, None
+
+
+def _indivisible(c, degree, lead):
+    return DivisionWitness(
+        "coefficient", degree,
+        f"coefficient {c} at degree {degree} not divisible by {lead}")
 
 
 def _divmod_monic_lists(num, mod):
@@ -644,8 +655,11 @@ class QPoly(_DensePoly):
         return QPoly(_stretch(self.coeffs))
 
 
-def _slice_norm(qmin, coeffs):
+def _slice_norm(qmin, run):
     # Canonical slice: nonzero first and last coefficient, or None if empty.
+    # The run becomes one tuple, kept as it is when it is one already, and a
+    # slice of a whole tuple is that tuple, so a canonical run is not copied.
+    coeffs = tuple(run)
     lo = 0
     hi = len(coeffs)
     while hi > lo and coeffs[hi - 1] == 0:
@@ -654,7 +668,7 @@ def _slice_norm(qmin, coeffs):
         lo += 1
     if lo == hi:
         return None
-    return (qmin + lo, tuple(coeffs[lo:hi]))
+    return (qmin + lo, coeffs[lo:hi])
 
 
 class QLaurent:
@@ -667,8 +681,7 @@ class QLaurent:
     __slots__ = ("_slices",)
 
     def __init__(self, slices=()):
-        cleaned = [s if s is None else _slice_norm(s[0], list(s[1]))
-                   for s in slices]
+        cleaned = [s if s is None else _slice_norm(*s) for s in slices]
         while cleaned and cleaned[-1] is None:
             cleaned.pop()
         object.__setattr__(self, "_slices", tuple(cleaned))

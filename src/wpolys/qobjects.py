@@ -9,7 +9,8 @@ from functools import cache
 from itertools import accumulate
 
 from .intcomb import divisors, mobius
-from .polyring import DivisionWitness, QLaurent, QPoly
+from .polyring import (DivisionWitness, QLaurent, QPoly, _divmod_monic_lists,
+                       _fold_cyclic, _sub_lists)
 
 
 def q_integer(n):
@@ -123,20 +124,29 @@ def q_lucas_check(d, a, b, s, t):
         raise ValueError("a and s must be nonnegative")
     if not (0 <= b < d and 0 <= t < d):
         raise ValueError("b and t must lie in [0, d-1]")
-    return _q_lucas_remainder(d, a, b, s, t).is_zero()
+    return not _q_lucas_row(d, a, b, s, t)
 
 
-def _q_lucas_remainder(d, a, b, s, t):
-    """Remainder of qbinom(ad+b, sd+t) - C(a,s) qbinom(b,t) mod cyclotomic(d).
+def _q_lucas_row(d, a, b, s, t):
+    """Remainder of qbinom(ad+b, sd+t) - C(a,s) qbinom(b,t) mod cyclotomic(d),
+    as a list of integers, empty when it is zero.
 
     Both tops are nonnegative, so the difference lies in Z[q] and each
     binomial may be folded into Z[q]/(q^d - 1) first, which cyclotomic(d)
-    divides; the remainder is that of the full difference.
+    divides; the remainder is that of the full difference.  The folded
+    difference is one row of d integers, and no polynomial value is made.
     """
     def folded(n, k):
-        return _qbinom_poly(n, k).fold(d) if k <= n else QPoly()
-    diff = folded(a * d + b, s * d + t) - math.comb(a, s) * folded(b, t)
-    return QLaurent.from_qpoly(diff).rem_monic_cyclic(cyclotomic(d), d)
+        return _fold_cyclic(_qbinom_poly(n, k).coeffs, 0, d) if k <= n else []
+    c = math.comb(a, s)
+    row = _sub_lists(folded(a * d + b, s * d + t),
+                     [c * x for x in folded(b, t)])
+    return _divmod_monic_lists(row, cyclotomic(d).coeffs)[1]
+
+
+def _q_lucas_remainder(d, a, b, s, t):
+    """_q_lucas_row as a QLaurent: the witness of a failing cell."""
+    return QLaurent(((0, _q_lucas_row(d, a, b, s, t)),))
 
 
 def lemma31_check(d):

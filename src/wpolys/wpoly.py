@@ -4,12 +4,21 @@ block polynomials used by the congruence lemmas."""
 from __future__ import annotations
 
 import math
+from contextvars import ContextVar
 from functools import cache, lru_cache
 
 from .intcomb import binomial_general, narayana_number, w_number
 from .polyring import QLaurent, QPoly, XPoly
 from .qobjects import cyclotomic, q_binomial, q_binomial_poly
 from .verdicts import Verdict
+
+
+# The memo scope of the grid being run: a dict that congruence.grid_stream
+# sets while each of its cells runs and drops with the grid; None outside
+# a grid.  It holds lemma-23's decided equations and folded blocks, so a
+# grid decides each distinct equation once, and what it keeps depends on
+# that grid alone, not on the process's history.
+_GRID_MEMO = ContextVar("wpolys_grid_memo", default=None)
 
 
 @cache
@@ -35,9 +44,13 @@ def schroder_poly(n):
 
 def _defining_base(k, j):
     # The j-th coefficient base of the defining q-analogue form; built from
-    # QLaurent binomials so out-of-range j vanishes instead of erroring.
-    return (q_binomial(k - 1, j - 1) * q_binomial(k + j, j)
-            - q_binomial(k, j) * q_binomial(k + j, j - 1))
+    # QLaurent binomials so out-of-range j vanishes instead of erroring.  A
+    # product whose first factor is zero is skipped, so the support guard's
+    # j = k + 1 builds no qbinom(2k+1, .) row.
+    def product(n1, k1, n2, k2):
+        first = q_binomial(n1, k1)
+        return first * q_binomial(n2, k2) if first else first
+    return product(k - 1, j - 1, k + j, j) - product(k, j, k + j, j - 1)
 
 
 def _w_shift(k, j):
@@ -210,7 +223,9 @@ def lemma_congruence_check(a, b, d, alpha):
       eq 3/4 (d > 3, 0 <= b <= d-3):   w_{ad+b+1}   = B_{a,b+1,d}
                                        w_{ad+d-b-2} = q^(-alpha(2b+3)) B_{a,b+1,d}
 
-    Returns one Verdict per applicable congruence.
+    Returns one Verdict per applicable congruence.  Inside a grid each
+    distinct equation is decided once: eq 1 and 2 of b are eq 3 and 4 of
+    b - 1.
     """
     if a < 0 or alpha < 1 or d <= 2:
         raise ValueError("need a >= 0, alpha >= 1, d > 2")
@@ -225,23 +240,40 @@ def lemma_congruence_check(a, b, d, alpha):
     if second_pair:
         checks.append((3, a * d + b + 1, b + 1, 0))
         checks.append((4, a * d + d - b - 2, b + 1, -alpha * (2 * b + 3)))
-    phi = cyclotomic(d)
+    # outside a grid the memo holds this call's blocks alone
+    memo = _GRID_MEMO.get()
+    if memo is None:
+        memo = {}
     out = []
     for eq, widx, bidx, shift in checks:
-        # fold is a ring homomorphism, so the folded block is the slice power
-        # of the folded alpha = 1 block; q is a unit mod phi, so the folded
-        # difference has the same verdict, and only a failing equation needs
-        # the full value for its witness
-        block = b_poly(a, bidx, d, 1).fold(d)._slice_power(alpha, d)
-        folded = q_w_poly(widx, alpha, d) - block.shift_q(shift).fold(d)
-        ok = folded.rem_monic_cyclic(phi, d).is_zero()
-        witness = None
-        if not ok:
-            full = (q_w_poly(widx, alpha)
-                    - b_poly(a, bidx, d, alpha).shift_q(shift))
-            witness = str(full.rem_monic_cyclic(phi, d))
+        key = ("lemma-23", a, d, alpha, widx, bidx, shift)
+        if key not in memo:
+            memo[key] = _decide_lemma23(memo, a, d, alpha, widx, bidx, shift)
+        ok, witness = memo[key]
         out.append(Verdict(
             "lemma-23",
             {"a": a, "b": b, "d": d, "alpha": alpha, "eq": eq},
             ok, witness))
     return out
+
+
+def _decide_lemma23(memo, a, d, alpha, widx, bidx, shift):
+    """(passed, witness) of w_widx = q^shift B_{a,bidx,d} modulo
+    cyclotomic(d) at alpha, with the folded block kept in memo.
+
+    fold is a ring homomorphism, so the folded block is the slice power of
+    the folded alpha = 1 block; q is a unit mod cyclotomic(d), so the
+    folded difference has the same verdict, and only a failing equation
+    builds the full difference for its witness.
+    """
+    block_key = ("lemma-23 block", a, bidx, d, alpha)
+    block = memo.get(block_key)
+    if block is None:
+        block = b_poly(a, bidx, d, 1).fold(d)._slice_power(alpha, d)
+        memo[block_key] = block
+    phi = cyclotomic(d)
+    folded = q_w_poly(widx, alpha, d) - block.shift_q(shift).fold(d)
+    if folded.rem_monic_cyclic(phi, d).is_zero():
+        return True, None
+    full = q_w_poly(widx, alpha) - b_poly(a, bidx, d, alpha).shift_q(shift)
+    return False, str(full.rem_monic_cyclic(phi, d))

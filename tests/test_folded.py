@@ -5,6 +5,8 @@ equal the full-value path: verify_* on the public qsum_* value, which spans
 thousands of q exponents, and the remainder of the whole lemma-23 or q-Lucas
 difference."""
 
+import dataclasses
+import gc
 import itertools
 import math
 import random
@@ -21,7 +23,7 @@ from wpolys.congruence import (
     verify_cyclotomic_product,
     verify_divisible_by_qn,
 )
-from wpolys.polyring import QLaurent
+from wpolys.polyring import QLaurent, QPoly
 from wpolys.qobjects import cyclotomic, q_binomial
 from wpolys.wpoly import b_poly, lemma_congruence_check, q_w_poly
 
@@ -288,6 +290,130 @@ def test_passing_lemma23_grid_builds_only_alpha_one_blocks(monkeypatch):
     assert calls
     assert all(args[3] == 1 for args in calls), \
         [args for args in calls if args[3] != 1]
+
+
+# the lemma-23 command of the benchmark's lemma-blocks workload
+BENCH_LEMMA23 = (("a", 0, 2), ("b", 0, 8), ("d", 3, 10), ("alpha", 1, 2))
+
+
+def test_lemma23_grid_matches_per_cell_calls_outside_a_grid():
+    assert wpoly._GRID_MEMO.get() is None
+    want = [v for cell in _lemma23_grid()
+            for v in lemma_congruence_check(*cell)]
+    got = congruence.grid_verify(congruence.GridSpec("lemma-23"))
+    assert len(got) > 1000 and got == want
+
+
+def test_benchmark_lemma23_grid_decides_each_distinct_equation_once(
+        monkeypatch):
+    # eq 1 and 2 of cell b are eq 3 and 4 of cell b - 1, so the 852
+    # verdicts rest on 432 equations; each folded block (a, B index, d,
+    # alpha) is built once
+    decided, blocks = [], []
+    decide, build = wpoly._decide_lemma23, wpoly.b_poly
+
+    def decide_spy(memo, *equation):
+        decided.append(equation)
+        return decide(memo, *equation)
+
+    def build_spy(*args):
+        blocks.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(wpoly, "_decide_lemma23", decide_spy)
+    monkeypatch.setattr(wpoly, "b_poly", build_spy)
+    verdicts = congruence.grid_verify(congruence.GridSpec(
+        "lemma-23", BENCH_LEMMA23))
+    assert len(verdicts) == 852 and all(v.passed for v in verdicts)
+    assert len(decided) == len(set(decided)) == 432
+    assert len(blocks) == 216 and len(set(blocks)) == 108
+    assert all(args[3] == 1 for args in blocks)
+
+
+def test_patched_b_poly_between_grids_fails_every_equation(monkeypatch):
+    spec = congruence.GridSpec(
+        "lemma-23", (("a", 0, 1), ("d", 3, 7), ("alpha", 1, 2)))
+    first = congruence.grid_verify(spec)
+    assert first and all(v.passed for v in first)
+    # every full block the witnesses need is in b_poly's table before the
+    # patch, so the patched calls below store no corrupted value there
+    for v in first:
+        p = v.params
+        _full_lemma23_remainder(p["a"], p["b"], p["d"], p["alpha"], p["eq"])
+    real = wpoly.b_poly
+    misses = real.cache_info().misses
+    monkeypatch.setattr(wpoly, "b_poly",
+                        lambda *args: real(*args) + QLaurent.one())
+    second = congruence.grid_verify(spec)
+    assert [v.params for v in second] == [v.params for v in first]
+    for v in second:
+        p = v.params
+        rem = _full_lemma23_remainder(p["a"], p["b"], p["d"], p["alpha"],
+                                      p["eq"])
+        assert not v.passed and v.witness == str(rem), p
+    assert real.cache_info().misses == misses
+
+
+def test_grid_memo_scope_lives_while_its_grid_runs(monkeypatch):
+    seen = []
+    entry = STATEMENTS["lemma-23"]
+
+    def runner(p, fault):
+        seen.append(wpoly._GRID_MEMO.get())
+        return entry.runner(p, fault)
+
+    monkeypatch.setitem(STATEMENTS, "lemma-23",
+                        dataclasses.replace(entry, runner=runner))
+    spec = congruence.GridSpec(
+        "lemma-23", (("a", 0, 0), ("d", 3, 6), ("alpha", 1, 1)))
+    scopes = []
+    for half_read in (False, True):
+        seen.clear()
+        cells = congruence.grid_stream(spec)
+        assert not seen
+        if half_read:
+            next(cells)
+            # code between cells does not see the scope
+            assert wpoly._GRID_MEMO.get() is None
+            cells.close()
+        else:
+            assert len(list(cells)) > len(seen) > 1
+        assert seen[0] and all(scope is seen[0] for scope in seen)
+        assert wpoly._GRID_MEMO.get() is None and cells.gi_frame is None
+        # only this test's list still holds the grid's scope
+        assert gc.get_referrers(seen[0]) == [seen]
+        scopes.append(seen[0])
+    assert scopes[0] is not scopes[1]
+
+
+def test_support_guard_builds_no_unused_binomial(monkeypatch):
+    tops = []
+    real = wpoly.q_binomial
+
+    def spy(n, k):
+        tops.append(n)
+        return real(n, k)
+
+    monkeypatch.setattr(wpoly, "q_binomial", spy)
+    for k in (1, 4, 9):
+        for order in (None, 5):
+            tops.clear()
+            q_w_poly.__wrapped__(k, 1, order)
+            assert tops and 2 * k + 1 not in tops, (k, order)
+
+
+def test_passing_qlucas_cell_makes_no_polynomial_value(monkeypatch):
+    cells = _qlucas_sample(37, 300)
+    for p in cells:                 # warm the binomial and cyclotomic tables
+        assert qobjects.q_lucas_check(*_qlucas_args(p))
+    made = []
+    for cls in (QLaurent, QPoly):
+        init = cls.__init__
+        monkeypatch.setattr(cls, "__init__", lambda self, *args, init=init:
+                            made.append(type(self)) or init(self, *args))
+    for p in cells:
+        assert STATEMENTS["lemma-qlucas"].runner(p, False)[0].passed
+    assert not made
 
 
 def test_q_w_poly_support_guard_raises_on_the_order_path(monkeypatch):

@@ -926,3 +926,83 @@ def test_cyclic_order_below_one_raises():
             QLaurent.one().fold(order)
         with pytest.raises(ValueError):
             QPoly([1, 2]).fold(order)
+
+
+def _per_coefficient_divexact(num, lead):
+    # oracle for division by the constant lead: top down, one coefficient at
+    # a time, the first indivisible one from the top is the witness
+    num = list(num)
+    while num and num[-1] == 0:
+        num.pop()
+    for degree in range(len(num) - 1, -1, -1):
+        if num[degree] % lead:
+            return None, (f"coefficient obstruction at degree {degree}: "
+                          f"coefficient {num[degree]} at degree {degree} "
+                          f"not divisible by {lead}")
+    return [c // lead for c in num], None
+
+
+def test_constant_divisor_matches_the_per_coefficient_oracle():
+    rng = random.Random(41)
+    cases = [([], 7), ([0, 0, 0], -3), ([5], 5), ([-5], -5), ([0], 1)]
+    for _ in range(300):
+        lead = rng.choice([-1, 1]) * rng.randint(1, 1 << rng.choice((3, 64,
+                                                                     300)))
+        size = rng.randint(1, 120)
+        # exact multiples and zeros, or with some probability any integers,
+        # so that several coefficients may be indivisible
+        scale = lead if rng.random() < 0.7 else 1
+        num = [scale * rng.randint(-(1 << 300), 1 << 300)
+               if rng.random() < 0.8 else 0 for _ in range(size)]
+        where = rng.choice(("none", "top", "middle", "zero"))
+        if where != "none" and abs(lead) > 1:
+            degree = {"top": size - 1, "middle": size // 2,
+                      "zero": 0}[where]
+            num[degree] += rng.randint(1, abs(lead) - 1)
+        cases.append((num, lead))
+    failing = set()
+    for num, lead in cases:
+        quot, witness = _per_coefficient_divexact(num, lead)
+        got = XPoly(num).divexact(lead)
+        if witness is None:
+            assert got == XPoly(quot), (num, lead)
+        else:
+            assert isinstance(got, DivisionWitness), (num, lead)
+            assert str(got) == witness, (num, lead)
+            failing.add("top" if got.degree == len(num) - 1 else
+                        "zero" if got.degree == 0 else "middle")
+    assert failing == {"top", "middle", "zero"}
+
+
+def _old_slice_norm(qmin, coeffs):
+    coeffs = list(coeffs)
+    lo, hi = 0, len(coeffs)
+    while hi > lo and coeffs[hi - 1] == 0:
+        hi -= 1
+    while lo < hi and coeffs[lo] == 0:
+        lo += 1
+    return None if lo == hi else (qmin + lo, tuple(coeffs[lo:hi]))
+
+
+def test_qlaurent_slices_from_every_kind_of_run():
+    rng = random.Random(43)
+    kinds = (list, tuple, lambda run: map(int, run),
+             lambda run: (c for c in run))
+    for _ in range(200):
+        runs = []
+        for _ in range(rng.randint(0, 5)):
+            core = [rng.randint(-9, 9) for _ in range(rng.randint(0, 6))]
+            zeros = [0] * rng.randint(0, 3), [0] * rng.randint(0, 3)
+            runs.append(None if rng.random() < 0.2 else
+                        (rng.randint(-5, 5), zeros[0] + core + zeros[1]))
+        want = [None if s is None else _old_slice_norm(*s) for s in runs]
+        while want and want[-1] is None:
+            want.pop()
+        for kind in kinds:
+            value = QLaurent([None if s is None else (s[0], kind(s[1]))
+                              for s in runs])
+            assert value._slices == tuple(want), (runs, kind)
+            assert all(type(s[1]) is tuple for s in value._slices if s)
+    # a canonical tuple run is kept, not copied
+    run = (3, 0, -1)
+    assert QLaurent(((2, run),))._slices[0][1] is run
