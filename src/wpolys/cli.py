@@ -63,7 +63,8 @@ def _build_parser():
     verify.add_argument("--format", choices=("jsonl", "text"),
                         default="jsonl")
     verify.add_argument("--inject-fault", action="store_true",
-                        help="corrupt each summand by +1 (witness testing)")
+                        help="add 1 to each assembled value (witness "
+                             "testing)")
     verify.add_argument("--count", type=int, default=500,
                         help="sample size for the sampled statement")
     verify.add_argument("--seed", type=int, default=0)

@@ -7,13 +7,13 @@ import math
 import random
 import time
 from dataclasses import dataclass, replace
-from functools import cache
-from itertools import chain
+from functools import cache, lru_cache
+from itertools import chain, zip_longest
 from operator import add, sub
 
 from .intcomb import divisors, lcm_range, rising_factorial, w_identity_suite
 from .polyring import (DivisionWitness, QLaurent, QPoly, XPoly,
-                       _window_slide_cyclic)
+                       _divmod_monic_lists, _fold_cyclic, _window_slide_cyclic)
 from .qobjects import (_q_lucas_remainder, cyclotomic, lemma31_check,
                        q_lucas_check)
 from .verdicts import Verdict
@@ -35,16 +35,6 @@ def _fold(value, order):
     return value if order is None else value.fold(order)
 
 
-def _fold_power(value, m, order=None):
-    # value^m by square-and-multiply, folded after each product
-    out = value
-    for bit in bin(m)[3:]:
-        out = _fold(out * out, order)
-        if bit == "1":
-            out = _fold(out * value, order)
-    return out
-
-
 def _split(count):
     # A run of count > 1 factors is the run of its first 2^i factors, 2^i the
     # largest power of two below count, times the run of the rest: a product
@@ -53,13 +43,21 @@ def _split(count):
     return 1 << (count - 1).bit_length() - 1
 
 
+def _power_tree(power, m, order=None):
+    # power(m) for m > 1 as power(h) * power(m - h), h = _split(m), both
+    # cached by the caller: m = 3 reuses m = 2, m = 4 squares it
+    h = _split(m)
+    return _fold(power(h) * power(m - h), order)
+
+
 @cache
 def _w_power(k, alpha, m, order=None):
     """q_w_poly(k, alpha) to the m, folded mod q^order - 1 when an order is
     given.  Callers pass order positionally so that each value has one key."""
+    if m > 1:
+        return _power_tree(lambda e: _w_power(k, alpha, e, order), m, order)
     # the full value's memo key in q_w_poly has no order
-    return _fold_power(q_w_poly(k, alpha) if order is None
-                       else q_w_poly(k, alpha, order), m, order)
+    return q_w_poly(k, alpha) if order is None else q_w_poly(k, alpha, order)
 
 
 @cache
@@ -75,12 +73,13 @@ def _w_power_q2(k, alpha, m, order=None):
 @cache
 def _w_run(k, alpha, m, count, order=None):
     """The product of q_w_poly(j, alpha)^m over j = k .. k+count-1, folded
-    when an order is given: for m > 1 the m-th power of the m = 1 run, else
-    the product of the two cached runs that _split gives."""
+    when an order is given: a power tree over m > 1, else the product of
+    the two cached runs that _split gives."""
     if count == 1:
         return _w_power(k, alpha, m, order)
     if m > 1:
-        return _fold_power(_w_run(k, alpha, 1, count, order), m, order)
+        return _power_tree(lambda e: _w_run(k, alpha, e, count, order), m,
+                           order)
     half = _split(count)
     return _fold(_w_run(k, alpha, 1, half, order)
                  * _w_run(k + half, alpha, 1, count - half, order), order)
@@ -88,8 +87,8 @@ def _w_run(k, alpha, m, count, order=None):
 
 @cache
 def _run_lowest_term(k, alpha, m, count):
-    """_w_run(k, alpha, m, count).lowest_term(), built in the shape of
-    _w_run from the factors' lowest terms (see _Summand.lowest_term)."""
+    """_w_run(k, alpha, m, count).lowest_term(), from the factors' lowest
+    terms (see _Summand.lowest_term)."""
     if count == 1:
         e, c = _q_w_lowest_term(k, alpha)
         return m * e, c ** m
@@ -104,7 +103,9 @@ def _run_lowest_term(k, alpha, m, count):
 
 @cache
 def _wx_power(k, alpha, m):
-    return _fold_power(w_alpha_poly(k, alpha), m)
+    if m > 1:
+        return _power_tree(lambda e: _wx_power(k, alpha, e), m)
+    return w_alpha_poly(k, alpha)
 
 
 @cache
@@ -113,7 +114,7 @@ def _wx_run(k, alpha, m, count):
     if count == 1:
         return _wx_power(k, alpha, m)
     if m > 1:
-        return _fold_power(_wx_run(k, alpha, 1, count), m)
+        return _power_tree(lambda e: _wx_run(k, alpha, e, count), m)
     half = _split(count)
     return _wx_run(k, alpha, 1, half) * _wx_run(k + half, alpha, 1,
                                                 count - half)
@@ -151,7 +152,7 @@ class _Summand:
         return _w_run(self.k, self.alpha, self.m, self.count, order)
 
     def value(self):
-        """The full summand; _packed_qsum sums folded summands without
+        """The full summand; _packed_columns sums folded summands without
         building it."""
         value = self.base()
         for n, r, stride in self.weights:
@@ -209,31 +210,27 @@ def _general_summands(n, alpha, beta, m, r):
             for k in range(1, n)]
 
 
-def _packed_qsum(summands, order):
-    """The sum of the summands in Z[x][q]/(q^order - 1), by Kronecker
-    substitution in x: one pass per q-column, not one per x-slice.
+def _packed_columns(summands, order, fault=False, moduli=()):
+    """The sum of the summands, plus one under a fault, in
+    Z[x][q]/(q^order - 1) as (cols, bits, depth): its order q-columns under
+    x -> 2^bits, by Kronecker substitution in x, and a bound on its x-degree.
 
-    Each summand's folded w-run becomes its order q-columns under
-    x -> 2^bits (QLaurent._x_packed).  The weights are cyclic windows on
-    those integers, the q-shift a rotation, the sign a subtraction, and
-    the summands add into one accumulator, unpacked once at the end.
-    x -> 2^bits is a ring homomorphism Z[x] -> Z, and the weights, rotation,
-    sign and sum act on each q-column alone, so they commute with it.
-
-    The bound: a cyclic window [M] makes each output the sum of exactly M
-    inputs, so it multiplies the largest coefficient magnitude by at most M,
-    and every coefficient of the sum is at most bound = the sum over the
-    summands of maxabs(w-run) * prod M^r.  With bits = bit_length(bound) + 2
-    (whole bytes, for _unpack) each lies in [-2^(bits-1), 2^(bits-1)),
-    where the map is injective.  _unpack raises only on overflow out of the
-    top digit, so an under-estimated bound would decode wrongly and
-    raise nothing.
+    Each summand's folded w-run becomes its order q-columns
+    (QLaurent._x_packed).  The weights are cyclic windows on those integers,
+    the q-shift a rotation, the sign a subtraction, and the summands add
+    into one accumulator.  x -> 2^bits is a ring homomorphism Z[x] -> Z,
+    and the weights, rotation, sign and sum act on each q-column alone, so
+    they commute with it.  A cyclic window [M] makes each output the sum of
+    exactly M inputs, so every coefficient of the sum is at most bound =
+    the fault plus the sum over the summands of maxabs(w-run) * prod M^r,
+    which _packing_bits turns into bits.
     """
     bases = [t.base(order) for t in summands]
-    bound = sum(base._max_abs() * math.prod(n ** r for n, r, _ in t.weights)
-                for t, base in zip(summands, bases))
-    bits = (bound.bit_length() + 2 + 7) & ~7
-    acc = [0] * order
+    bound = fault + sum(
+        base._max_abs() * math.prod(n ** r for n, r, _ in t.weights)
+        for t, base in zip(summands, bases))
+    bits = _packing_bits(bound, order, moduli)
+    acc = [int(fault)] + [0] * (order - 1)
     for t, base in zip(summands, bases):
         cols = base._x_packed(order, bits)
         for n, r, stride in t.weights:
@@ -243,7 +240,39 @@ def _packed_qsum(summands, order):
         acc = list(map(sub if t.negative else add, acc,
                        cols[turn:] + cols[:turn]))
     depth = max((base.x_degree() for base in bases), default=0) + 1
-    return QLaurent._x_unpacked(acc, bits, depth)
+    return acc, bits, depth
+
+
+def _packing_bits(bound, order, moduli=()):
+    """Bits per x-digit for q-columns mod q^order - 1 with coefficients of
+    magnitude at most bound, such that each remainder modulo a (mod, d) of
+    moduli decodes too: folding to d sums order/d columns, and a remainder
+    of d terms of magnitude at most c is at most c * R(mod, d) (_rem_spread).
+    bits is bit_length(bound * that factor) + 2 in whole bytes, so each value
+    lies in [-2^(bits-1), 2^(bits-1)), where x -> 2^bits is injective.  An
+    under-estimated bound would decode wrongly and raise nothing."""
+    spread = max((order // d * _rem_spread(mod.coeffs, d)
+                  for mod, d in moduli), default=1)
+    return ((bound * spread).bit_length() + 2 + 7) & ~7
+
+
+@lru_cache(maxsize=256)
+def _rem_spread(mod, order):
+    # R(mod, order) = max over i of the sum over e < order of
+    # |(q^e mod mod)_i|, for mod a monic coefficient tuple
+    rems = (map(abs, _divmod_monic_lists([0] * e + [1], mod)[1])
+            for e in range(order))
+    return max(map(sum, zip_longest(*rems, fillvalue=0)))
+
+
+def _packed_remainders(cols, moduli, shift):
+    """The remainders of q^shift times the packed q-columns cols modulo each
+    (mod, d) of moduli, d dividing len(cols), by schoolbook division of the
+    packed integers: division by a monic mod is Z-linear, so each is the
+    packed remainder of the x-slices (zero iff they all are, within the
+    bits of _packing_bits)."""
+    return [_divmod_monic_lists(_fold_cyclic(cols, shift, d), mod.coeffs)[1]
+            for mod, d in moduli]
 
 
 # series -> (n, full value) of the last full q-sum built; one entry only.
@@ -256,11 +285,12 @@ _RUNNING_QSUM = {}
 
 def _qsum(summands, n, args, step, order):
     """The sum of summands(n, *args), folded mod q^order - 1 when an order
-    is given (_packed_qsum).  A full value extends the last full value of
-    its series when that was built for an n no larger; anything else starts
-    over."""
+    is given (_packed_columns, unpacked once).  A full value extends the
+    last full value of its series when that was built for an n no larger;
+    anything else starts over."""
     if order is not None:
-        return _packed_qsum(summands(n, *args), order)
+        return QLaurent._x_unpacked(*_packed_columns(summands(n, *args),
+                                                     order))
     series = (summands, *args)
     done, value = _RUNNING_QSUM.get(series, (1, QLaurent.zero()))
     if done > n:
@@ -283,7 +313,7 @@ def qsum_plain(n, alpha, m, r, order=None):
     the folded w-runs are packed under x -> 2^bits into one integer per
     q-column, the weights, shifts and signs act on those integers, and the
     sum is unpacked once.  That is exact because bits exceeds the bound on
-    the sum's coefficients (see _packed_qsum).
+    the sum's coefficients (see _packed_columns).
     """
     _check_positive(n=n, alpha=alpha, m=m, r=r)
     return _qsum(_plain_summands, n, (alpha, m, r), alpha * m + 1, order)
@@ -331,8 +361,8 @@ def verify_cyclotomic_product(value, n, statement="cyclotomic-product",
     if n < 2:
         raise ValueError("cyclotomic product needs n >= 2")
     witness = None
-    for d in _cyclotomic_product_factors(n):
-        rem = value.rem_monic_cyclic(cyclotomic(d), d)
+    for mod, d in _cyclotomic_moduli(n):
+        rem = value.rem_monic_cyclic(mod, d)
         if not rem.is_zero():
             witness = f"d={d}: {rem}"
             break
@@ -340,10 +370,15 @@ def verify_cyclotomic_product(value, n, statement="cyclotomic-product",
                    witness)
 
 
-def _cyclotomic_product_factors(n):
-    # Divisor d of n contributes Phi_d(q) when odd, Phi_d(q^2) = Phi_2d(q)
-    # when even.
-    return [d if d % 2 else 2 * d for d in divisors(n) if d > 1]
+def _cyclotomic_moduli(n):
+    # (Phi_d, d) for the factors of the cyclotomic product: divisor d of n
+    # contributes Phi_d(q) when odd, Phi_d(q^2) = Phi_2d(q) when even
+    return [(cyclotomic(e), e)
+            for e in (d if d % 2 else 2 * d for d in divisors(n) if d > 1)]
+
+
+def _qn_moduli(n):
+    return [(_qint_qpoly(n), n)]
 
 
 _TWO_X_PLUS_ONE = XPoly((1, 2))
@@ -543,28 +578,42 @@ def _lowest_q_exp(summands, fault):
     return e if sum((c for f, c in lows if f == e), XPoly()) else None
 
 
-def _qsum_runner(statement, build, summands, decide, multiple):
-    """Cell runner of a q-sum statement: build the value in Z[x][q]/(q^N - 1)
-    with N = multiple * n, as one x-packed sum over its summands
-    (_packed_qsum), add the fault (+1) if asked, and decide it there.
+def _qsum_runner(statement, build, summands, decide, multiple, moduli):
+    """Cell runner of a q-sum statement: decide the value, plus one under a
+    fault, in Z[x][q]/(q^N - 1) with N = multiple * n, which every modulus
+    of moduli(n) divides, on its x-packed q-columns (_packed_columns).
 
-    The modulus divides q^N - 1, so the folded value decides the cell.  The
-    witness is the remainder of q^shift times the full value, with shift =
-    max(0, -min_q_exp); q is a unit modulo q^N - 1, so the verdict does not
-    depend on the shift, and the witness is the remainder of the folded
+    The witness is the remainder of q^shift times the full value, with shift
+    = max(0, -min_q_exp); q is a unit modulo q^N - 1, so the verdict does
+    not depend on the shift, and the witness is the remainder of the folded
     value rotated by it.  The summands' lowest q-terms give min_q_exp; when
     they cancel, the cell builds the full value and decides that instead.
+    A cell whose packed remainders are all zero passes; any other unpacks
+    its columns once for decide, which gives the witness, and a cell that
+    decide then passes means the packing's bound was wrong, and raises.
     """
     def run(p, fault):
         n = p["n"]
         order = multiple * n
-        low = _lowest_q_exp(summands(**p), fault)
-        value = build(p, None if low is None else order)
-        if fault:
-            value = value + QLaurent.one()
-        if low is not None:
-            value = value.shift_q(max(0, -low)).fold(order)
-        return [decide(value, n, statement, p)]
+        terms = summands(**p)
+        low = _lowest_q_exp(terms, fault)
+        if low is None:
+            value = build(p)
+            if fault:
+                value = value + QLaurent.one()
+            return [decide(value, n, statement, p)]
+        mods = moduli(n)
+        cols, bits, depth = _packed_columns(terms, order, fault, mods)
+        shift = max(0, -low)
+        if not any(_packed_remainders(cols, mods, shift)):
+            return [Verdict(statement, dict(p), True)]
+        value = QLaurent._x_unpacked(cols, bits, depth)
+        verdict = decide(value.shift_q(shift).fold(order), n, statement, p)
+        if verdict.passed:
+            raise ArithmeticError(
+                f"{statement} {p}: a packed remainder is nonzero but the "
+                f"value's remainder is zero; the packing bound is too small")
+        return [verdict]
     return run
 
 
@@ -623,30 +672,31 @@ _INT_PARAMS = (("n", 1, None), ("alpha", 1, (1, 1)), ("m", 1, (1, 1)),
 
 # The q-sum runners look up qsum_* and verify_* in this module's globals when
 # a cell runs, not when the table is built, so that rebinding those names
-# (as perfbench/layertrace.py does) reaches every cell.  The last argument of
-# each runner is N / n for the folded ring Z[x][q]/(q^N - 1): [n] divides
-# q^n - 1, and every factor of the cyclotomic product divides q^(2n) - 1.
+# (as perfbench/layertrace.py does) reaches every cell that calls them: a
+# cell whose lowest terms cancel calls qsum_*, and a cell that does not pass
+# on its packed q-columns calls verify_*; a passing folded cell calls
+# neither.  The last two arguments of each runner are N / n for the folded
+# ring Z[x][q]/(q^N - 1) and the statement's moduli: [n] divides q^n - 1,
+# and every factor of the cyclotomic product divides q^(2n) - 1.
 STATEMENTS = {
     "thm-qsum-plain": _Statement(_QSUM_PARAMS, _qsum_runner(
-        "thm-qsum-plain", lambda p, order: qsum_plain(**p, order=order),
-        _plain_summands,
-        lambda *args: verify_divisible_by_qn(*args), 1)),
+        "thm-qsum-plain", lambda p: qsum_plain(**p), _plain_summands,
+        lambda *args: verify_divisible_by_qn(*args), 1, _qn_moduli)),
     "thm-qsum-alternating": _Statement(_QSUM_PARAMS, _qsum_runner(
-        "thm-qsum-alternating",
-        lambda p, order: qsum_alternating(**p, order=order),
+        "thm-qsum-alternating", lambda p: qsum_alternating(**p),
         _alternating_summands,
-        lambda *args: verify_cyclotomic_product(*args), 2)),
+        lambda *args: verify_cyclotomic_product(*args), 2,
+        _cyclotomic_moduli)),
     "thm-qsum-product": _Statement(_QSUM_PARAMS, _qsum_runner(
-        "thm-qsum-product", lambda p, order: qsum_product(**p, order=order),
-        _product_summands,
-        lambda *args: verify_divisible_by_qn(*args), 1)),
+        "thm-qsum-product", lambda p: qsum_product(**p), _product_summands,
+        lambda *args: verify_divisible_by_qn(*args), 1, _qn_moduli)),
     "thm-qsum-general": _Statement(
         (("n", 2, None), ("alpha", 1, (1, 1)), ("beta", 1, (1, 1)),
          ("m", 1, (1, 1)), ("r", 1, (1, 1))),
-        _qsum_runner("thm-qsum-general",
-                     lambda p, order: qsum_general(**p, order=order),
+        _qsum_runner("thm-qsum-general", lambda p: qsum_general(**p),
                      _general_summands,
-                     lambda *args: verify_divisible_by_qn(*args), 1)),
+                     lambda *args: verify_divisible_by_qn(*args), 1,
+                     _qn_moduli)),
     "thm-int-plain": _Statement(_INT_PARAMS,
                                 _division_runner("thm-int-plain")),
     "thm-int-alternating": _Statement(

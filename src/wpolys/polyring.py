@@ -926,20 +926,22 @@ class QLaurent:
         [-2^(bits-1), 2^(bits-1)): the value with q^e-column cols[e]."""
         return cls([(0, row) for row in _unpack_columns(cols, bits, depth)])
 
+    def _slice_mul(self, other, order=None):
+        """The value whose x^d slice is the product of the x^d slices of
+        this value and other.  Given an order, the fold of that value."""
+        value = QLaurent([None if a is None or b is None
+                          else (a[0] + b[0], _convolve(a[1], b[1]))
+                          for a, b in zip(self._slices, other._slices)])
+        return value if order is None else value.fold(order)
+
     def _slice_power(self, alpha, order=None):
         """The value whose x^d slice is the alpha-th power of this value's
         x^d slice.  Given an order, the fold of that value, with each product
         folded before the next one."""
-
-        def power(qmin, run):
-            out = run
-            for _ in range(alpha - 1):
-                out = _convolve(out, run)
-                if order is not None:
-                    out = _fold_cyclic(out, 0, order)
-            return alpha * qmin, out
-        value = self._map(power)
-        return value if order is None else value.fold(order)
+        out = self if order is None else self.fold(order)
+        for _ in range(alpha - 1):
+            out = out._slice_mul(self, order)
+        return out
 
     def subst_q_squared(self):
         """q -> q^2."""

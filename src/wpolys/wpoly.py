@@ -72,7 +72,8 @@ def q_w_poly(k, alpha, order=None):
     alpha, shifted by q^(alpha*(C(j+1,2)-(k+1)(j-1))), attached to x^(j-1).
 
     Slice j of the value is thus the alpha-th power of slice j at alpha = 1,
-    and alpha > 1 is built from the cached alpha = 1 value, whose build
+    and alpha > 1 is the slice-wise product of the cached alpha - 1 and
+    alpha = 1 values, so alpha = 3 reuses alpha = 2; the alpha = 1 build
     checks the support of the defining sum.  With an order, the image in
     Z[x][q]/(q^order - 1) (see QLaurent.fold): each Gaussian binomial is
     folded first and every product after it, so no operand spans more than
@@ -81,8 +82,11 @@ def q_w_poly(k, alpha, order=None):
     if k < 1 or alpha < 1:
         raise ValueError("q_w_poly needs k, alpha >= 1")
     if alpha > 1:
-        one = q_w_poly(k, 1) if order is None else q_w_poly(k, 1, order)
-        return one._slice_power(alpha, order)
+        # the full value's memo keys have no order
+        tail = () if order is None else (order,)
+        one = q_w_poly(k, 1, *tail)
+        lower = one if alpha == 2 else q_w_poly(k, alpha - 1, *tail)
+        return lower._slice_mul(one, order)
     if not (_defining_base(k, 0).is_zero()
             and _defining_base(k, k + 1).is_zero()):
         raise ArithmeticError(

@@ -378,6 +378,23 @@ def test_balanced_runs_match_a_left_to_right_chain():
                         == chain.fold(order)), (args, order)
 
 
+def test_m_power_trees_match_plain_powers():
+    # m = 3 is m = 2 times m = 1, m = 4 the square of m = 2, and m = 5 is
+    # m = 4 times m = 1 (congruence._power_tree)
+    for k, alpha in ((2, 1), (3, 2), (4, 1)):
+        w = [q_w_poly(j, alpha) for j in (k, k + 1)]
+        wx = [w_alpha_poly(j, alpha) for j in (k, k + 1)]
+        for m in range(1, 6):
+            assert congruence._wx_power(k, alpha, m) == wx[0] ** m
+            assert congruence._wx_run(k, alpha, m, 2) == (wx[0] * wx[1]) ** m
+            assert congruence._w_power(k, alpha, m, None) == w[0] ** m
+            for order in (5, 7):
+                assert (congruence._w_power(k, alpha, m, order)
+                        == (w[0] ** m).fold(order))
+                assert (congruence._w_run(k, alpha, m, 2, order)
+                        == ((w[0] * w[1]) ** m).fold(order))
+
+
 # statement builder, its summand table, and two series of its parameters
 QSUM_SERIES = (
     (qsum_plain, congruence._plain_summands,

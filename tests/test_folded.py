@@ -13,7 +13,7 @@ import random
 
 import pytest
 
-from wpolys import congruence, qobjects, wpoly
+from wpolys import congruence, polyring, qobjects, wpoly
 from wpolys.congruence import (
     STATEMENTS,
     qsum_alternating,
@@ -23,7 +23,9 @@ from wpolys.congruence import (
     verify_cyclotomic_product,
     verify_divisible_by_qn,
 )
-from wpolys.polyring import QLaurent, QPoly
+from wpolys.intcomb import divisors
+from wpolys.polyring import (QLaurent, QPoly, _divmod_monic_lists,
+                             _fold_cyclic)
 from wpolys.qobjects import cyclotomic, q_binomial
 from wpolys.wpoly import b_poly, lemma_congruence_check, q_w_poly
 
@@ -214,6 +216,99 @@ def test_packed_qsum_is_the_fold_of_the_summed_summands(statement, params,
     got = STATEMENTS[statement].runner(params, True)
     assert got == [_full_verdict(statement, params, True)]
     assert not got[0].passed
+
+
+def _decision_moduli():
+    # (order, (mod, d)): [n] at order n, and Phi_d at order 2n for every
+    # d > 1 dividing 2n, n <= 16
+    for n in range(2, 17):
+        yield n, (congruence._qint_qpoly(n), n)
+        for d in divisors(2 * n):
+            if d > 1:
+                yield 2 * n, (cyclotomic(d), d)
+
+
+def _extreme_rows(mod, d, order, bound):
+    # rows of order entries, each +-bound: row i takes the sign of
+    # coefficient i of q^(e mod d) mod mod at exponent e, so that its
+    # remainder's coefficient i is as large as any such row's; then all
+    # +bound, all -bound and random signs
+    rems = [_divmod_monic_lists([0] * e + [1], mod.coeffs)[1]
+            for e in range(d)]
+    rows = [[-bound if i < len(rems[e % d]) and rems[e % d][i] < 0
+             else bound for e in range(order)]
+            for i in range(mod.degree())]
+    rng = random.Random(order * 100 + d)
+    rows += [[bound] * order, [-bound] * order,
+             [rng.choice((bound, -bound)) for _ in range(order)]]
+    return rows
+
+
+def _padded(coeffs, width):
+    return list(coeffs) + [0] * (width - len(coeffs))
+
+
+@pytest.mark.parametrize("bound", [1] + [2 ** j - 1 for j in range(57, 65)])
+def test_packed_remainders_decode_to_the_per_slice_remainders(bound):
+    # Each x-slice of the folded value at +-bound, bits from _packing_bits
+    # for that modulus alone: the packed remainder unpacks to the per-slice
+    # remainders.  bits is a bit length plus 2 in whole bytes, so for each
+    # headroom factor one of the eight bounds 2^j - 1 leaves a single bit of
+    # slack, and dropping a factor of 4 or more from the (order/d) R(mod, d)
+    # headroom makes the unpack decode wrongly or raise.
+    rng = random.Random(bound)
+    for order, (mod, d) in _decision_moduli():
+        rows = _extreme_rows(mod, d, order, bound)
+        bits = congruence._packing_bits(bound, order, [(mod, d)])
+        cols = polyring._pack_columns(rows, bits)
+        shift = rng.randrange(order)
+        [rem] = congruence._packed_remainders(cols, [(mod, d)], shift)
+        width = mod.degree()
+        got = polyring._unpack_columns(_padded(rem, width), bits, len(rows))
+        want = [_padded(_divmod_monic_lists(
+            _fold_cyclic(row, shift, d), mod.coeffs)[1], width)
+            for row in rows]
+        assert [list(row) for row in got] == want, (order, d)
+        assert (not rem) == (not any(map(any, want)))
+
+
+def test_packed_fail_that_the_reference_passes_raises(monkeypatch):
+    # a nonzero packed remainder on a cell whose value verify_* passes means
+    # the packing's bound was too small: a real exception, kept under -O
+    monkeypatch.setattr(congruence, "_packed_remainders",
+                        lambda *args: [[1]])
+    for statement in ("thm-qsum-plain", "thm-qsum-alternating"):
+        with pytest.raises(ArithmeticError, match="packing bound"):
+            STATEMENTS[statement].runner({"n": 5, "alpha": 1, "m": 1,
+                                          "r": 1}, False)
+
+
+@pytest.mark.parametrize("statement,ranges", GRIDS)
+def test_passing_folded_qsum_grid_stays_on_packed_columns(statement, ranges,
+                                                          monkeypatch):
+    # a passing cell is decided on its x-packed q-columns: no unpack, no
+    # QLaurent remainder and no verify_* call; each faulted cell unpacks its
+    # columns once and returns verify_*'s verdict and witness
+    calls, decided = [], []
+    rem_monic_cyclic, unpacked = (QLaurent.rem_monic_cyclic,
+                                  QLaurent._x_unpacked)
+    monkeypatch.setattr(QLaurent, "rem_monic_cyclic",
+                        lambda self, *args: calls.append("rem")
+                        or rem_monic_cyclic(self, *args))
+    monkeypatch.setattr(QLaurent, "_x_unpacked", staticmethod(
+        lambda *args: calls.append("unpack") or unpacked(*args)))
+    for name in ("verify_divisible_by_qn", "verify_cyclotomic_product"):
+        monkeypatch.setattr(congruence, name, lambda *args, real=getattr(
+            congruence, name): decided.append(real(*args)) or decided[-1])
+    spec = congruence.GridSpec(statement, ranges)
+    verdicts = congruence.grid_verify(spec)
+    assert verdicts and all(v.passed for v in verdicts)
+    assert not calls and not decided
+    faulted = congruence.grid_verify(dataclasses.replace(
+        spec, inject_fault=True))
+    assert [v.params for v in faulted] == [v.params for v in verdicts]
+    assert faulted == decided and not any(v.passed for v in faulted)
+    assert calls.count("unpack") == len(faulted) <= calls.count("rem")
 
 
 def test_folded_q_w_poly_is_the_fold_of_the_full_value():
