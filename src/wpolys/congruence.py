@@ -210,10 +210,10 @@ def _general_summands(n, alpha, beta, m, r):
             for k in range(1, n)]
 
 
-def _packed_columns(summands, order, fault=False, moduli=()):
-    """The sum of the summands, plus one under a fault, in
-    Z[x][q]/(q^order - 1) as (cols, bits, depth): its order q-columns under
-    x -> 2^bits, by Kronecker substitution in x, and a bound on its x-degree.
+def _packed_columns(summands, order, moduli=()):
+    """The sum of the summands in Z[x][q]/(q^order - 1) as (cols, bits,
+    depth): its order q-columns under x -> 2^bits, by Kronecker substitution
+    in x, and a bound on its x-degree.
 
     Each summand's folded w-run becomes its order q-columns
     (QLaurent._x_packed).  The weights are cyclic windows on those integers,
@@ -222,15 +222,14 @@ def _packed_columns(summands, order, fault=False, moduli=()):
     and the weights, rotation, sign and sum act on each q-column alone, so
     they commute with it.  A cyclic window [M] makes each output the sum of
     exactly M inputs, so every coefficient of the sum is at most bound =
-    the fault plus the sum over the summands of maxabs(w-run) * prod M^r,
-    which _packing_bits turns into bits.
+    the sum over the summands of maxabs(w-run) * prod M^r, which
+    _packing_bits turns into bits.
     """
     bases = [t.base(order) for t in summands]
-    bound = fault + sum(
-        base._max_abs() * math.prod(n ** r for n, r, _ in t.weights)
-        for t, base in zip(summands, bases))
+    bound = sum(base._max_abs() * math.prod(n ** r for n, r, _ in t.weights)
+                for t, base in zip(summands, bases))
     bits = _packing_bits(bound, order, moduli)
-    acc = [int(fault)] + [0] * (order - 1)
+    acc = [0] * order
     for t, base in zip(summands, bases):
         cols = base._x_packed(order, bits)
         for n, r, stride in t.weights:
@@ -348,7 +347,8 @@ def verify_divisible_by_qn(value, n, statement="mod-qn", params=None):
     """Pass iff the remainder of value mod [n] is zero."""
     if n < 2:
         raise ValueError("modulus [n] needs n >= 2")
-    rem = value.rem_monic_cyclic(_qint_qpoly(n), n)
+    [(mod, d)] = _qn_moduli(n)
+    rem = value.rem_monic_cyclic(mod, d)
     ok = rem.is_zero()
     return Verdict(statement, dict(params or {"n": n}), ok,
                    None if ok else str(rem))
@@ -578,38 +578,40 @@ def _lowest_q_exp(summands, fault):
     return e if sum((c for f, c in lows if f == e), XPoly()) else None
 
 
-def _qsum_runner(statement, build, summands, decide, multiple, moduli):
+def _qsum_runner(statement, build, summands, decide, moduli):
     """Cell runner of a q-sum statement: decide the value, plus one under a
-    fault, in Z[x][q]/(q^N - 1) with N = multiple * n, which every modulus
-    of moduli(n) divides, on its x-packed q-columns (_packed_columns).
+    fault, in Z[x][q]/(q^N - 1), N the lcm of the orders d of moduli(n), so
+    that every modulus divides q^N - 1.
 
     The witness is the remainder of q^shift times the full value, with shift
     = max(0, -min_q_exp); q is a unit modulo q^N - 1, so the verdict does
     not depend on the shift, and the witness is the remainder of the folded
     value rotated by it.  The summands' lowest q-terms give min_q_exp; when
     they cancel, the cell builds the full value and decides that instead.
-    A cell whose packed remainders are all zero passes; any other unpacks
-    its columns once for decide, which gives the witness, and a cell that
-    decide then passes means the packing's bound was wrong, and raises.
+    An unfaulted cell is first reduced on its x-packed q-columns
+    (_packed_columns) and passes if every remainder is zero.  Any other cell
+    builds its value with build and decides it with decide, which gives the
+    witness; if a cell that failed on its columns then passes, the
+    packing's bound was wrong, and it raises.
     """
     def run(p, fault):
         n = p["n"]
-        order = multiple * n
+        mods = moduli(n)
+        order = math.lcm(*(d for _, d in mods))
         terms = summands(**p)
         low = _lowest_q_exp(terms, fault)
-        if low is None:
-            value = build(p)
-            if fault:
-                value = value + QLaurent.one()
-            return [decide(value, n, statement, p)]
-        mods = moduli(n)
-        cols, bits, depth = _packed_columns(terms, order, fault, mods)
-        shift = max(0, -low)
-        if not any(_packed_remainders(cols, mods, shift)):
-            return [Verdict(statement, dict(p), True)]
-        value = QLaurent._x_unpacked(cols, bits, depth)
-        verdict = decide(value.shift_q(shift).fold(order), n, statement, p)
-        if verdict.passed:
+        packed = low is not None and not fault
+        if packed:
+            cols, _, _ = _packed_columns(terms, order, mods)
+            if not any(_packed_remainders(cols, mods, max(0, -low))):
+                return [Verdict(statement, dict(p), True)]
+        value = build(p, None if low is None else order)
+        if fault:
+            value = value + QLaurent.one()
+        if low is not None:
+            value = value.shift_q(max(0, -low)).fold(order)
+        verdict = decide(value, n, statement, p)
+        if packed and verdict.passed:
             raise ArithmeticError(
                 f"{statement} {p}: a packed remainder is nonzero but the "
                 f"value's remainder is zero; the packing bound is too small")
@@ -673,29 +675,31 @@ _INT_PARAMS = (("n", 1, None), ("alpha", 1, (1, 1)), ("m", 1, (1, 1)),
 # The q-sum runners look up qsum_* and verify_* in this module's globals when
 # a cell runs, not when the table is built, so that rebinding those names
 # (as perfbench/layertrace.py does) reaches every cell that calls them: a
-# cell whose lowest terms cancel calls qsum_*, and a cell that does not pass
-# on its packed q-columns calls verify_*; a passing folded cell calls
-# neither.  The last two arguments of each runner are N / n for the folded
-# ring Z[x][q]/(q^N - 1) and the statement's moduli: [n] divides q^n - 1,
-# and every factor of the cyclotomic product divides q^(2n) - 1.
+# cell that passes on its packed q-columns calls neither, and every other
+# cell (faulted, failing, or with cancelling lowest terms) calls both.  The
+# last argument of each runner gives the statement's moduli: [n] at order n,
+# or each factor Phi_d of the cyclotomic product at order d.
 STATEMENTS = {
     "thm-qsum-plain": _Statement(_QSUM_PARAMS, _qsum_runner(
-        "thm-qsum-plain", lambda p: qsum_plain(**p), _plain_summands,
-        lambda *args: verify_divisible_by_qn(*args), 1, _qn_moduli)),
+        "thm-qsum-plain", lambda p, order: qsum_plain(**p, order=order),
+        _plain_summands,
+        lambda *args: verify_divisible_by_qn(*args), _qn_moduli)),
     "thm-qsum-alternating": _Statement(_QSUM_PARAMS, _qsum_runner(
-        "thm-qsum-alternating", lambda p: qsum_alternating(**p),
+        "thm-qsum-alternating",
+        lambda p, order: qsum_alternating(**p, order=order),
         _alternating_summands,
-        lambda *args: verify_cyclotomic_product(*args), 2,
-        _cyclotomic_moduli)),
+        lambda *args: verify_cyclotomic_product(*args), _cyclotomic_moduli)),
     "thm-qsum-product": _Statement(_QSUM_PARAMS, _qsum_runner(
-        "thm-qsum-product", lambda p: qsum_product(**p), _product_summands,
-        lambda *args: verify_divisible_by_qn(*args), 1, _qn_moduli)),
+        "thm-qsum-product", lambda p, order: qsum_product(**p, order=order),
+        _product_summands,
+        lambda *args: verify_divisible_by_qn(*args), _qn_moduli)),
     "thm-qsum-general": _Statement(
         (("n", 2, None), ("alpha", 1, (1, 1)), ("beta", 1, (1, 1)),
          ("m", 1, (1, 1)), ("r", 1, (1, 1))),
-        _qsum_runner("thm-qsum-general", lambda p: qsum_general(**p),
+        _qsum_runner("thm-qsum-general",
+                     lambda p, order: qsum_general(**p, order=order),
                      _general_summands,
-                     lambda *args: verify_divisible_by_qn(*args), 1,
+                     lambda *args: verify_divisible_by_qn(*args),
                      _qn_moduli)),
     "thm-int-plain": _Statement(_INT_PARAMS,
                                 _division_runner("thm-int-plain")),

@@ -84,9 +84,8 @@ def q_w_poly(k, alpha, order=None):
     if alpha > 1:
         # the full value's memo keys have no order
         tail = () if order is None else (order,)
-        one = q_w_poly(k, 1, *tail)
-        lower = one if alpha == 2 else q_w_poly(k, alpha - 1, *tail)
-        return lower._slice_mul(one, order)
+        return q_w_poly(k, alpha - 1, *tail)._slice_mul(
+            q_w_poly(k, 1, *tail), order)
     if not (_defining_base(k, 0).is_zero()
             and _defining_base(k, k + 1).is_zero()):
         raise ArithmeticError(

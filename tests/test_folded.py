@@ -287,8 +287,9 @@ def test_packed_fail_that_the_reference_passes_raises(monkeypatch):
 def test_passing_folded_qsum_grid_stays_on_packed_columns(statement, ranges,
                                                           monkeypatch):
     # a passing cell is decided on its x-packed q-columns: no unpack, no
-    # QLaurent remainder and no verify_* call; each faulted cell unpacks its
-    # columns once and returns verify_*'s verdict and witness
+    # QLaurent remainder and no qsum_* or verify_* call; each faulted cell
+    # is built by qsum_*, which unpacks its columns once, and returns
+    # verify_*'s verdict and witness
     calls, decided = [], []
     rem_monic_cyclic, unpacked = (QLaurent.rem_monic_cyclic,
                                   QLaurent._x_unpacked)
@@ -300,6 +301,11 @@ def test_passing_folded_qsum_grid_stays_on_packed_columns(statement, ranges,
     for name in ("verify_divisible_by_qn", "verify_cyclotomic_product"):
         monkeypatch.setattr(congruence, name, lambda *args, real=getattr(
             congruence, name): decided.append(real(*args)) or decided[-1])
+    for name in ("qsum_plain", "qsum_alternating", "qsum_product",
+                 "qsum_general"):
+        monkeypatch.setattr(congruence, name, lambda *args, real=getattr(
+            congruence, name), **kwargs: calls.append("build")
+            or real(*args, **kwargs))
     spec = congruence.GridSpec(statement, ranges)
     verdicts = congruence.grid_verify(spec)
     assert verdicts and all(v.passed for v in verdicts)
@@ -308,7 +314,8 @@ def test_passing_folded_qsum_grid_stays_on_packed_columns(statement, ranges,
         spec, inject_fault=True))
     assert [v.params for v in faulted] == [v.params for v in verdicts]
     assert faulted == decided and not any(v.passed for v in faulted)
-    assert calls.count("unpack") == len(faulted) <= calls.count("rem")
+    assert (calls.count("build") == calls.count("unpack") == len(faulted)
+            <= calls.count("rem"))
 
 
 def test_folded_q_w_poly_is_the_fold_of_the_full_value():
