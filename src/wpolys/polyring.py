@@ -641,16 +641,6 @@ class QPoly(_DensePoly):
             return self
         return QPoly(_fold_cyclic(self.coeffs, 0, order))
 
-    def mul_cyclic(self, other, order):
-        """self * other in Z[q]/(q^order - 1), folded like fold(order).
-
-        With folded operands no product spans more than 2*order - 1 terms.
-        """
-        if order < 1:
-            raise ValueError("order must be >= 1")
-        return QPoly(_fold_cyclic(_convolve(self.coeffs, other.coeffs), 0,
-                                  order))
-
     def subst_q_squared(self):
         return QPoly(_stretch(self.coeffs))
 

@@ -5,11 +5,11 @@ from __future__ import annotations
 
 import math
 from contextvars import ContextVar
-from functools import cache, lru_cache
+from functools import cache
 
 from .intcomb import binomial_general, narayana_number, w_number
-from .polyring import QLaurent, QPoly, XPoly
-from .qobjects import cyclotomic, q_binomial, q_binomial_poly
+from .polyring import QLaurent, XPoly
+from .qobjects import _ratio_step, cyclotomic, q_binomial
 from .verdicts import Verdict
 
 
@@ -44,9 +44,10 @@ def schroder_poly(n):
 
 def _defining_base(k, j):
     # The j-th coefficient base of the defining q-analogue form; built from
-    # QLaurent binomials so out-of-range j vanishes instead of erroring.  A
-    # product whose first factor is zero is skipped, so the support guard's
-    # j = k + 1 builds no qbinom(2k+1, .) row.
+    # QLaurent binomials so out-of-range j vanishes instead of erroring.
+    # q_w_poly reads it only in its support guard (j = 0 and j = k + 1);
+    # the tests compare the ratio chain against it.  A product whose first
+    # factor is zero is skipped, so the guard builds no qbinom(2k+1, .) row.
     def product(n1, k1, n2, k2):
         first = q_binomial(n1, k1)
         return first * q_binomial(n2, k2) if first else first
@@ -58,26 +59,27 @@ def _w_shift(k, j):
     return math.comb(j + 1, 2) - (k + 1) * (j - 1)
 
 
-def _base_rows(k, j):
-    # the four Gaussian binomials of the j-th defining base, in the order
-    # qbinom(k-1,j-1), qbinom(k+j,j), qbinom(k,j), qbinom(k+j,j-1)
-    return (q_binomial_poly(k - 1, j - 1), q_binomial_poly(k + j, j),
-            q_binomial_poly(k, j), q_binomial_poly(k + j, j - 1))
-
-
 @cache
 def q_w_poly(k, alpha, order=None):
     """q-analogue of w_alpha_poly(k, alpha): for each j in 1..k the base
     qbinom(k-1,j-1)qbinom(k+j,j) - qbinom(k,j)qbinom(k+j,j-1), raised to
     alpha, shifted by q^(alpha*(C(j+1,2)-(k+1)(j-1))), attached to x^(j-1).
 
-    Slice j of the value is thus the alpha-th power of slice j at alpha = 1,
-    and alpha > 1 is the slice-wise product of the cached alpha - 1 and
-    alpha = 1 values, so alpha = 3 reuses alpha = 2; the alpha = 1 build
-    checks the support of the defining sum.  With an order, the image in
-    Z[x][q]/(q^order - 1) (see QLaurent.fold): each Gaussian binomial is
-    folded first and every product after it, so no operand spans more than
-    2*order q-terms.
+    qbinom(k+j,j) = qbinom(k+j,j-1)[k+1]/[j], qbinom(k,j) =
+    qbinom(k-1,j-1)[k]/[j] and [k+1] - [k] = q^k, so the j-th base is
+    q^k P_j/[j] with P_j = qbinom(k-1,j-1)qbinom(k+j,j-1) (a q-Narayana
+    factorisation).  The alpha = 1 build runs the chain P_1 = 1,
+    P_j = P_(j-1) (1-q^(k-j+1))/(1-q^(j-1)) (1-q^(k+j))/(1-q^(j-1)), whose
+    every step is an exact polynomial division (_ratio_step, which raises
+    ArithmeticError otherwise), and takes P_j (1-q)/(1-q^j) as slice j; it
+    makes no polynomial product and checks the support of the defining sum.
+
+    Slice j of the value is the alpha-th power of slice j at alpha = 1, and
+    alpha > 1 is the slice-wise product of the cached alpha - 1 and alpha = 1
+    values, so alpha = 3 reuses alpha = 2.  With an order, the image in
+    Z[x][q]/(q^order - 1) (see QLaurent.fold): at alpha = 1 the fold of the
+    cached full value, and at alpha > 1 the product of the folded values,
+    folded.
     """
     if k < 1 or alpha < 1:
         raise ValueError("q_w_poly needs k, alpha >= 1")
@@ -91,63 +93,24 @@ def q_w_poly(k, alpha, order=None):
         raise ArithmeticError(
             f"q_w_poly({k}, 1): the defining sum has support outside "
             f"j in [1, {k}]")
+    if order is not None:
+        return q_w_poly(k, 1).fold(order)
     slices = []
+    run = [1]       # P_j
     for j in range(1, k + 1):
-        a, b, c, d = _base_rows(k, j)
-        if order is None:
-            base = a * b - c * d
-        else:
-            a, b, c, d = (row.fold(order) for row in (a, b, c, d))
-            base = a.mul_cyclic(b, order) - c.mul_cyclic(d, order)
-        slices.append((_w_shift(k, j), base.coeffs))
-    value = QLaurent(slices)
-    return value if order is None else value.fold(order)
-
-
-def _base_lowest_term(k, j):
-    """(e, c) for the lowest term c*q^e of the j-th defining base, or None
-    when the base is zero.
-
-    The first t coefficients of a product are those of the product of its
-    factors cut to t terms, so t doubles until such a cut base has a
-    nonzero term; the full base is never built.  t starts at k + 1, so a
-    base whose lowest term lies at q^k or below takes one round, as every
-    base with j <= k <= 30 does (a test pins it); the search is exact from
-    any start.
-    """
-    rows = [row.coeffs for row in _base_rows(k, j)]
-    size = max(len(rows[0]) + len(rows[1]), len(rows[2]) + len(rows[3])) - 1
-    t = k + 1
-    while True:
-        a, b, c, d = (QPoly(row[:t]) for row in rows)
-        low = (a * b - c * d).coeffs[:t]
-        for e, coeff in enumerate(low):
-            if coeff:
-                return e, coeff
-        if t >= size:
-            return None
-        t *= 2
-
-
-@lru_cache(maxsize=256)
-def _slice_lowest_terms(k):
-    # (x-degree, e, c) for the lowest term c*q^e of each nonzero slice of
-    # q_w_poly(k, 1); bounded, so that the table does not grow with the
-    # process's history
-    lows = []
-    for j in range(1, k + 1):
-        low = _base_lowest_term(k, j)
-        if low is not None:
-            lows.append((j - 1, low[0] + _w_shift(k, j), low[1]))
-    return tuple(lows)
+        if j > 1:
+            run = _ratio_step(_ratio_step(run, k - j + 1, j - 1), k + j, j - 1)
+        slices.append((k + _w_shift(k, j), _ratio_step(run, 1, j)))
+    return QLaurent(slices)
 
 
 def _q_w_lowest_term(k, alpha):
-    """q_w_poly(k, alpha).lowest_term(), read off the bases' lowest terms:
-    slice j is the alpha-th power of slice j at alpha = 1, and Z has no zero
-    divisors, so its lowest term is (alpha*e, c^alpha) for that slice's
-    (e, c)."""
-    lows = _slice_lowest_terms(k)
+    """q_w_poly(k, alpha).lowest_term(), read off the lowest terms of the
+    slices of the cached q_w_poly(k, 1): slice j is the alpha-th power of
+    slice j at alpha = 1, and Z has no zero divisors, so its lowest term is
+    (alpha*e, c^alpha) for that slice's (e, c)."""
+    lows = [(d, s[0], s[1][0])
+            for d, s in enumerate(q_w_poly(k, 1)._slices) if s is not None]
     e = alpha * min(f for _, f, _ in lows)
     row = [0] * (lows[-1][0] + 1)
     for d, f, c in lows:

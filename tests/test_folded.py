@@ -103,16 +103,30 @@ def test_cancelled_lowest_terms_rebuild_the_same_witness(statement,
 
 
 def _spy_q_w_poly(monkeypatch):
-    # every q_w_poly call from congruence and from q_w_poly itself; the
-    # congruence memo tables and the running full q-sum are cleared so that
-    # no earlier test answers for q_w_poly
+    # every q_w_poly call from congruence and from q_w_poly itself, each with
+    # the Gaussian-binomial rows and convolutions made inside it; q_w_poly's
+    # own table, the congruence memo tables and the running full q-sum are
+    # cleared so that no earlier test answers for q_w_poly
     calls = []
+    made = []
     real = wpoly.q_w_poly
 
     def spy(*args):
         calls.append(args)
-        return real(*args)
+        start = len(made)
+        value = real(*args)
+        if args[1] == 1:
+            assert len(made) == start, (args, made[start:])
+        return value
 
+    def counted(name, fn):
+        return lambda *args: made.append(name) or fn(*args)
+
+    monkeypatch.setattr(qobjects, "_qbinom_poly",
+                        counted("_qbinom_poly", qobjects._qbinom_poly))
+    monkeypatch.setattr(polyring, "_convolve",
+                        counted("_convolve", polyring._convolve))
+    wpoly.q_w_poly.cache_clear()
     for table in (congruence._w_power, congruence._w_power_q2,
                   congruence._w_run):
         table.cache_clear()
@@ -137,8 +151,10 @@ def test_passing_qsum_grid_builds_only_folded_w_polynomials(
     verdicts = congruence.grid_verify(congruence.GridSpec(statement, ranges))
     assert verdicts and all(v.passed for v in verdicts)
     assert calls
-    assert all(len(args) == 3 and args[2] is not None for args in calls), \
-        [args for args in calls if len(args) < 3]
+    # a full value is built only at alpha = 1, and the spy checks that each
+    # alpha = 1 build makes no Gaussian-binomial row and no product
+    assert all(args[1] == 1 or len(args) == 3 and args[2] is not None
+               for args in calls), [args for args in calls if len(args) < 3]
 
 
 def test_cancelled_lowest_terms_still_build_the_full_value(monkeypatch):
@@ -147,7 +163,8 @@ def test_cancelled_lowest_terms_still_build_the_full_value(monkeypatch):
     params = {"n": 5, "alpha": 2, "m": 1, "r": 1}
     assert STATEMENTS["thm-qsum-plain"].runner(params, False) == [
         _full_verdict("thm-qsum-plain", params, False)]
-    assert any(len(args) == 2 for args in calls)
+    # every alpha = 1 build is full now, so look for a full alpha = 2 value
+    assert any(args[1:] == (2,) for args in calls)
 
 
 def test_lowest_terms_give_the_full_value_lowest_exponent():

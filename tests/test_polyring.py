@@ -447,8 +447,7 @@ def test_fold_on_both_sides_of_the_lap_cutoff():
         for i, a in enumerate(p.coeffs):
             for j, b in enumerate(r.coeffs):
                 product[(i + j) % order] += a * b
-        assert (p.fold(order).mul_cyclic(r.fold(order), order)
-                == QPoly(product))
+        assert (p.fold(order) * r.fold(order)).fold(order) == QPoly(product)
     with pytest.raises(ValueError):
         QPoly((1,)).fold(0)
 
@@ -921,7 +920,7 @@ def test_cyclic_order_below_one_raises():
         with pytest.raises(ValueError):
             QLaurent.one().rem_monic_cyclic(QPoly([-1, 1]), order)
         with pytest.raises(ValueError):
-            QPoly([1, 2, 3]).mul_cyclic(QPoly([1, 1]), order)
+            (QPoly([1, 2, 3]) * QPoly([1, 1])).fold(order)
         with pytest.raises(ValueError):
             QLaurent.one().fold(order)
         with pytest.raises(ValueError):

@@ -1,8 +1,12 @@
 import math
+import os
+import subprocess
+import sys
 
+import wpolys
 from wpolys import wpoly
 from wpolys.intcomb import binomial_general, w_number
-from wpolys.polyring import DivisionWitness, QLaurent, QPoly, XPoly
+from wpolys.polyring import DivisionWitness, QLaurent, XPoly
 from wpolys.wpoly import (
     b_poly,
     lemma_congruence_check,
@@ -133,27 +137,41 @@ def test_lowest_term_without_the_full_value():
 
 
 def test_every_defining_base_starts_at_q_to_the_k():
-    # found by the search in _base_lowest_term, which assumes nothing of it
     for k in range(1, 31):
         for j in range(1, k + 1):
-            assert wpoly._base_lowest_term(k, j) == (k, 1)
             assert (wpoly._defining_base(k, j).lowest_term()
                     == (k, XPoly.const(1)))
 
 
-def test_base_lowest_term_search_past_the_first_cuts(monkeypatch):
-    # at k = 4 the first cut has 5 terms, and [10] - [6] = q^6 + ... + q^9
-    # needs the second; equal products make the base zero
-    ten, six, one = QPoly([1] * 10), QPoly([1] * 6), QPoly([1])
-    monkeypatch.setattr(wpoly, "_base_rows",
-                        lambda k, j: (ten, one, six, one))
-    assert wpoly._base_lowest_term(4, 2) == (6, 1)
-    monkeypatch.setattr(wpoly, "_base_rows",
-                        lambda k, j: (ten, one, six, ten))
-    assert wpoly._base_lowest_term(4, 2) == (1, -1)
-    monkeypatch.setattr(wpoly, "_base_rows",
-                        lambda k, j: (six, ten, ten, six))
-    assert wpoly._base_lowest_term(4, 2) is None
+def test_ratio_chain_beyond_the_small_k():
+    # the chain runs k - 1 double steps, so the larger k exercise long runs
+    # of exact divisions that k <= 20 never reaches
+    for k in (25, 33, 45):
+        value = q_w_poly(k, 1)
+        assert value == _defining_value(k, 1), k
+        assert value == q_w_poly_alt(k, 1), k
+        assert value.eval_q_one() == w_alpha_poly(k, 1), k
+        for order in (7, k, 2 * k + 1):
+            assert q_w_poly(k, 1, order) == value.fold(order), (k, order)
+
+
+def test_inexact_ratio_step_raises_through_q_w_poly_under_O():
+    # a chain whose division is off by one step must raise from
+    # _ratio_step's own check, which python -O does not strip
+    src = os.path.dirname(os.path.dirname(os.path.abspath(wpolys.__file__)))
+    code = """
+from wpolys import qobjects, wpoly
+step = qobjects._ratio_step
+wpoly._ratio_step = lambda coeffs, m, k: step(coeffs, m, k + 1)
+try:
+    wpoly.q_w_poly(6, 1)
+except ArithmeticError as exc:
+    print("raised", "does not divide" in str(exc))
+"""
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True,
+        timeout=60, env=dict(os.environ, PYTHONPATH=src))
+    assert done.stdout.strip() == "raised True", done.stderr
 
 
 def test_b_poly_frozen():
