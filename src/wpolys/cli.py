@@ -117,14 +117,39 @@ def _text_line(v):
     return line if v.passed else f"{line}  witness: {v.witness}"
 
 
+_encode = json.encoder.encode_basestring_ascii
+
+
+def _json_line(v):
+    """json.dumps(v.to_json()), written out directly when the params are all
+    ints (every statement's cells), else by json.dumps itself."""
+    if (type(v.passed) is bool and type(v.elapsed_ms) is int
+            and {*map(type, v.params.values())} <= {int}):
+        try:
+            params = ", ".join([f"{_encode(k)}: {x}"
+                                for k, x in v.params.items()])
+            witness = "null" if v.witness is None else _encode(v.witness)
+            status = ("" if v.status is None
+                      else f', "status": {_encode(v.status)}')
+            return (f'{{"statement": {_encode(v.statement)}, '
+                    f'"params": {{{params}}}, '
+                    f'"pass": {"true" if v.passed else "false"}, '
+                    f'"witness": {witness}, '
+                    f'"elapsed_ms": {v.elapsed_ms}{status}}}')
+        except TypeError:       # a key or a text field that is not a str
+            pass
+    return json.dumps(v.to_json())
+
+
 def emit_report(verdicts, sink, fmt="jsonl"):
     """Write and flush a line per verdict as it arrives, in format fmt, then
     the summary; return whether all passed.  A run that stops early leaves
     a valid prefix of its report: every line but the summary."""
     text = fmt == "text"
+    line = _text_line if text else _json_line
     total = passed = 0
     for v in verdicts:
-        sink.write((_text_line(v) if text else json.dumps(v.to_json())) + "\n")
+        sink.write(line(v) + "\n")
         sink.flush()
         total += 1
         passed += v.passed

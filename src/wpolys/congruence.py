@@ -14,11 +14,11 @@ from operator import add, sub
 from .intcomb import divisors, lcm_range, rising_factorial, w_identity_suite
 from .polyring import (DivisionWitness, QLaurent, QPoly, XPoly,
                        _divmod_monic_lists, _fold_cyclic, _window_slide_cyclic)
-from .qobjects import (_q_lucas_remainder, cyclotomic, lemma31_check,
-                       q_lucas_check)
+from .qobjects import (_GRID_MEMO, _q_lucas_remainder, cyclotomic,
+                       lemma31_check, q_lucas_check)
 from .verdicts import Verdict
-from .wpoly import (_GRID_MEMO, _q_w_lowest_term, lemma_congruence_check,
-                    q_w_poly, w_alpha_poly)
+from .wpoly import (_q_w_lowest_term, lemma_congruence_check, q_w_poly,
+                    w_alpha_poly)
 
 
 class GridError(ValueError):
@@ -800,7 +800,7 @@ def grid_stream(spec):
     """Check the request at once (GridError), then return a generator of the
     verdicts, cell by cell in lexicographic schema order as each is decided;
     cells run one at a time in this thread, so reports are reproducible.
-    The generator keeps one memo scope for the grid (wpoly._GRID_MEMO)."""
+    The generator keeps one memo scope for the grid (qobjects._GRID_MEMO)."""
     schema = STATEMENTS.get(spec.statement)
     if schema is None:
         catalog = ", ".join(sorted(STATEMENTS))
@@ -817,7 +817,7 @@ def grid_stream(spec):
 
 
 def _run_cells(schema, cells, spec):
-    # The grid's memo scope (wpoly._GRID_MEMO): made at the first cell, set
+    # The grid's memo scope (qobjects._GRID_MEMO): made at the first cell, set
     # only while a cell runs, and dropped with this generator's frame when
     # the grid ends or the generator is closed.
     memo = {}

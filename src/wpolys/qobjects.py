@@ -5,12 +5,22 @@ q -> q^2 behaviour of cyclotomics)."""
 from __future__ import annotations
 
 import math
+from contextvars import ContextVar
 from functools import cache
 from itertools import accumulate
 
 from .intcomb import divisors, mobius
 from .polyring import (DivisionWitness, QLaurent, QPoly, _divmod_monic_lists,
-                       _fold_cyclic, _sub_lists)
+                       _sub_lists)
+
+
+# The memo scope of the grid being run: a dict that congruence.grid_stream
+# sets while each of its cells runs and drops with the grid; None outside
+# a grid.  It holds lemma-23's decided equations and folded blocks (see
+# wpoly.lemma_congruence_check) and q-Lucas's folded q-Pascal tables, each
+# under a tuple key whose first entry names the table, so what a grid keeps
+# depends on that grid alone, not on the process's history.
+_GRID_MEMO = ContextVar("wpolys_grid_memo", default=None)
 
 
 def q_integer(n):
@@ -127,17 +137,45 @@ def q_lucas_check(d, a, b, s, t):
     return not _q_lucas_row(d, a, b, s, t)
 
 
+def _q_pascal_rows(d, n):
+    """The folded q-Pascal table of d, built at least to row n: entry [m][k]
+    is qbinom(m, k) mod q^d - 1, a list of d ints, for 0 <= k <= m.
+
+    qbinom(m, k) = qbinom(m-1, k-1) + q^k qbinom(m-1, k) (Andrews, The
+    Theory of Partitions, Thm 3.2), and multiplying by q^k in
+    Z[q]/(q^d - 1) rotates a row right by k mod d; qbinom(m, k) =
+    qbinom(m, m-k), so the upper half of each row repeats the lower.  In a
+    grid the table lives in its memo scope under ("q-pascal", d) and grows
+    on demand; outside one a call builds its own rows.
+    """
+    memo = _GRID_MEMO.get()
+    rows = [] if memo is None else memo.setdefault(("q-pascal", d), [])
+    if not rows:
+        rows.append([[1] + [0] * (d - 1)])
+    for m in range(len(rows), n + 1):
+        prev = rows[-1]
+        half = [prev[0]]
+        for k in range(1, m // 2 + 1):
+            e, r = prev[k], k % d       # at r = 0 the rotation is e itself
+            half.append([x + y for x, y in zip(prev[k - 1], e[-r:] + e[:-r])])
+        rows.append(half + half[(m - 1) // 2::-1])
+    return rows
+
+
 def _q_lucas_row(d, a, b, s, t):
     """Remainder of qbinom(ad+b, sd+t) - C(a,s) qbinom(b,t) mod cyclotomic(d),
     as a list of integers, empty when it is zero.
 
     Both tops are nonnegative, so the difference lies in Z[q] and each
-    binomial may be folded into Z[q]/(q^d - 1) first, which cyclotomic(d)
-    divides; the remainder is that of the full difference.  The folded
+    binomial may be taken in Z[q]/(q^d - 1) first, which cyclotomic(d)
+    divides; the remainder is that of the full difference.  Both folded
+    binomials are read from the q-Pascal table (_q_pascal_rows), so the
     difference is one row of d integers, and no polynomial value is made.
     """
+    rows = _q_pascal_rows(d, a * d + b)
+
     def folded(n, k):
-        return _fold_cyclic(_qbinom_poly(n, k).coeffs, 0, d) if k <= n else []
+        return rows[n][k] if k <= n else []
     c = math.comb(a, s)
     row = _sub_lists(folded(a * d + b, s * d + t),
                      [c * x for x in folded(b, t)])

@@ -4,21 +4,12 @@ block polynomials used by the congruence lemmas."""
 from __future__ import annotations
 
 import math
-from contextvars import ContextVar
 from functools import cache
 
 from .intcomb import binomial_general, narayana_number, w_number
 from .polyring import QLaurent, XPoly
-from .qobjects import _ratio_step, cyclotomic, q_binomial
+from .qobjects import _GRID_MEMO, _ratio_step, cyclotomic, q_binomial
 from .verdicts import Verdict
-
-
-# The memo scope of the grid being run: a dict that congruence.grid_stream
-# sets while each of its cells runs and drops with the grid; None outside
-# a grid.  It holds lemma-23's decided equations and folded blocks, so a
-# grid decides each distinct equation once, and what it keeps depends on
-# that grid alone, not on the process's history.
-_GRID_MEMO = ContextVar("wpolys_grid_memo", default=None)
 
 
 @cache

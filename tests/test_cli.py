@@ -1,12 +1,19 @@
+import dataclasses
 import io
+import itertools
 import json
 import os
+import signal
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+from wpolys import cli
 from wpolys.cli import emit_report, main, parse_cli, run
+from wpolys.congruence import STATEMENTS, GridSpec, grid_stream, grid_verify
 from wpolys.polyring import QLaurent, XPoly
 from wpolys.verdicts import Verdict
 
@@ -335,3 +342,68 @@ def test_verify_bad_grid_writes_no_verdict(monkeypatch, fmt):
                              "--format", fmt, "--output", path])
             assert code == 2
             assert _report_lines(path) == []
+
+
+def test_report_line_encoder_matches_json_dumps():
+    verdicts = []
+    for statement, ranges in cli._SELFTEST_GRIDS:
+        spec = GridSpec(statement, ranges, count=40, timing=True)
+        verdicts += grid_verify(spec)
+        if STATEMENTS[statement].fault_ok:
+            verdicts += grid_verify(dataclasses.replace(spec,
+                                                        inject_fault=True))
+    assert {v.statement for v in verdicts} == set(STATEMENTS)
+    assert any(v.status for v in verdicts)
+    assert any(not v.passed for v in verdicts)
+    texts = ('say "q" \\ or "\\n"', "q ∈ ℤ[q], Φ₆ = 1 - q + q², é \U0001d4e0",
+             "tab\t, newline\n, NUL\x00, DEL\x7f", "")
+    for text in texts:
+        verdicts += [Verdict("lemma-23", {"a": 0, "b": -3, "d": 10 ** 30},
+                             bool(not text), text or None, 12, text or None),
+                     Verdict(text, {}, True, text, 7, text)]
+    # params that are not all ints take json.dumps itself
+    for params in ({"n": True}, {"n": 1.5}, {"n": "2"}, {"n": None},
+                   {"n": [1]}, {1: 2}, {"n": 1, "m": float("nan")}):
+        verdicts.append(Verdict("thm-int-plain", params, False, "(1)"))
+    verdicts.append(Verdict("thm-int-plain", {"n": 1}, 1, None))
+    for v in verdicts:
+        assert cli._json_line(v) == json.dumps(v.to_json()), v
+
+
+def test_timed_report_lines_are_the_json_encoding():
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(["verify", "thm-qsum-plain", "--n", "2..6",
+                     "--r", "1..2", "--inject-fault", "--timing"]) == 1
+    lines = out.getvalue().splitlines()
+    assert len(lines) == 11
+    assert all("elapsed_ms" in line for line in lines[:-1])
+    for line in lines:
+        assert line == json.dumps(json.loads(line))
+
+
+def test_killed_verify_child_leaves_a_valid_report_prefix():
+    import wpolys
+    src = os.path.dirname(os.path.dirname(os.path.abspath(wpolys.__file__)))
+    child = subprocess.Popen(
+        [sys.executable, "-m", "wpolys.cli", "verify", "lemma-qlucas",
+         "--count", "200000"],
+        stdout=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=src))
+    try:
+        head = [child.stdout.readline() for _ in range(1000)]
+    finally:
+        child.send_signal(signal.SIGKILL)
+        rest = child.stdout.read()
+        child.stdout.close()
+        child.wait(timeout=60)
+    assert child.returncode == -signal.SIGKILL
+    data = b"".join(head) + rest
+    lines = data.split(b"\n")[:-1]      # complete lines only
+    assert len(lines) >= 1000
+    cells = grid_stream(GridSpec("lemma-qlucas", count=200000))
+    want = [json.dumps(v.to_json()).encode()
+            for v in itertools.islice(cells, len(lines))]
+    cells.close()
+    assert lines == want
+    assert all(json.loads(line)["statement"] == "lemma-qlucas"
+               and b"summary" not in line for line in lines)

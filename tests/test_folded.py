@@ -575,27 +575,38 @@ def test_folded_qlucas_remainder_matches_the_full_difference():
                 == _full_qlucas_remainder(*args)), p
 
 
-def test_failing_qlucas_cell_gives_the_full_witness(monkeypatch):
-    # t >= 1 keeps both bottoms positive, so each binomial that is not zero
-    # comes from _qbinom_poly on both paths
+def test_failing_qlucas_cell_gives_the_full_witness():
+    # a grid scope whose q-Pascal tables add one to every folded binomial:
+    # the runner must read them there, and its witness must be the remainder
+    # of the full difference of the binomials plus one; t >= 1 keeps both
+    # bottoms positive, so every binomial that is not zero is corrupted
     cells = [p for p in _qlucas_sample(31, 200) if p["t"] >= 1]
-    real = qobjects._qbinom_poly
-    for p in cells:
-        d, a, b, s, t = _qlucas_args(p)
-        for n, k in ((a * d + b, s * d + t), (b, t)):
-            if k <= n:
-                real(n, k)
-    # every call below hits the memo table, so no corrupted row is stored
-    misses = real.cache_info().misses
-    monkeypatch.setattr(qobjects, "_qbinom_poly",
-                        lambda n, k: real(n, k) + 1)
+    memo = {}
+    for d in {p["d"] for p in cells}:
+        rows = qobjects._q_pascal_rows(d, 5 * d - 1)
+        memo["q-pascal", d] = [[[e[0] + 1, *e[1:]] for e in row]
+                               for row in rows]
+    tables = dict(memo)
+
+    def plus_one(n, k):
+        return q_binomial(n, k) + QLaurent.one() if k <= n else QLaurent.zero()
+
     failed = 0
     for p in cells:
-        rem = _full_qlucas_remainder(*_qlucas_args(p))
-        [v] = STATEMENTS["lemma-qlucas"].runner(p, False)
+        d, a, b, s, t = _qlucas_args(p)
+        diff = plus_one(a * d + b, s * d + t) - math.comb(a, s) * plus_one(b, t)
+        rem = diff.rem_monic_cyclic(cyclotomic(d), d)
+        token = wpoly._GRID_MEMO.set(memo)
+        try:
+            [v] = STATEMENTS["lemma-qlucas"].runner(p, False)
+        finally:
+            wpoly._GRID_MEMO.reset(token)
         assert v.passed is rem.is_zero(), p
         if not v.passed:
             failed += 1
             assert v.witness == str(rem), p
     assert failed
-    assert real.cache_info().misses == misses
+    # the runner read the corrupted tables and neither rebuilt nor grew them
+    assert memo.keys() == tables.keys()
+    assert all(memo[key] is table and len(table) == 5 * key[1]
+               for key, table in tables.items())

@@ -1,8 +1,13 @@
+import dataclasses
+import gc
 import math
 import random
 
-from wpolys.polyring import QLaurent, QPoly
+from wpolys import qobjects
+from wpolys.congruence import STATEMENTS, GridSpec, grid_stream
+from wpolys.polyring import QLaurent, QPoly, _fold_cyclic
 from wpolys.qobjects import (
+    _q_pascal_rows,
     _qbinom_poly,
     cyclotomic,
     lemma31_check,
@@ -162,6 +167,77 @@ def test_q_lucas_rejects_bad_domain():
             assert False, f"q_lucas_check{bad} should be rejected"
         except ValueError:
             pass
+
+
+def test_q_pascal_table_matches_the_folded_binomials():
+    # every entry the q-Lucas cells can read, 0 <= k <= n <= 5d - 1, against
+    # the fold of the Gaussian-binomial row; a table grown row by row in a
+    # grid scope equals one built at once outside it
+    for d in range(2, 13):
+        rows = _q_pascal_rows(d, 5 * d - 1)
+        assert len(rows) == 5 * d
+        for n, row in enumerate(rows):
+            assert [len(e) for e in row] == [d] * (n + 1), (d, n)
+            for k, entry in enumerate(row):
+                assert entry == _fold_cyclic(_qbinom_poly(n, k).coeffs, 0, d), \
+                    (d, n, k)
+        memo = {}
+        token = qobjects._GRID_MEMO.set(memo)
+        try:
+            for n in (0, 3, 2, 5 * d - 1):
+                grown = _q_pascal_rows(d, n)
+        finally:
+            qobjects._GRID_MEMO.reset(token)
+        assert memo == {("q-pascal", d): rows} and grown is memo["q-pascal", d]
+
+
+def _module_tables():
+    # the size of every table qobjects holds at module level
+    sizes = {}
+    for name, value in vars(qobjects).items():
+        if hasattr(value, "cache_info"):
+            sizes[name] = value.cache_info().currsize
+        elif isinstance(value, (dict, list, set)):
+            sizes[name] = len(value)
+    return sizes
+
+
+def test_qlucas_grid_keeps_its_q_pascal_tables_in_its_scope(monkeypatch):
+    for d in range(2, 13):          # cyclotomic's table is process-wide
+        cyclotomic(d)
+    binomials = _qbinom_poly.cache_info()
+    tables = _module_tables()
+    assert q_lucas_check(12, 4, 11, 3, 7)       # outside a grid
+    seen = []
+    entry = STATEMENTS["lemma-qlucas"]
+
+    def runner(p, fault):
+        verdicts = entry.runner(p, fault)
+        seen.append(qobjects._GRID_MEMO.get()["q-pascal", p["d"]])
+        return verdicts
+
+    monkeypatch.setitem(STATEMENTS, "lemma-qlucas",
+                        dataclasses.replace(entry, runner=runner))
+    spec = GridSpec("lemma-qlucas", count=300, seed=5)
+    for half_read in (False, True):
+        seen.clear()
+        cells = grid_stream(spec)
+        if half_read:
+            for _ in range(100):
+                assert next(cells).passed
+            # while the grid lives its scope holds each table
+            assert len(gc.get_referrers(seen[-1])) == 2
+            cells.close()
+        else:
+            verdicts = list(cells)
+            assert len(verdicts) == 300 and all(v.passed for v in verdicts)
+        assert cells.gi_frame is None
+        assert len({id(table) for table in seen}) > 5
+        # only this test's list still holds the grid's tables
+        for i in range(len(seen)):
+            assert gc.get_referrers(seen[i]) == [seen]
+    assert _qbinom_poly.cache_info() == binomials
+    assert _module_tables() == tables
 
 
 def test_lemma31():
