@@ -13,7 +13,8 @@ from operator import add, sub
 
 from .intcomb import divisors, lcm_range, rising_factorial, w_identity_suite
 from .polyring import (DivisionWitness, QLaurent, QPoly, XPoly,
-                       _divmod_monic_lists, _fold_cyclic, _window_slide_cyclic)
+                       _divmod_monic_lists, _fold_cyclic, _pack_columns,
+                       _window_slide_cyclic)
 from .qobjects import (_GRID_MEMO, _q_lucas_remainder, cyclotomic,
                        lemma31_check, q_lucas_check)
 from .verdicts import Verdict
@@ -215,31 +216,46 @@ def _packed_columns(summands, order, moduli=()):
     depth): its order q-columns under x -> 2^bits, by Kronecker substitution
     in x, and a bound on its x-degree.
 
-    Each summand's folded w-run becomes its order q-columns
-    (QLaurent._x_packed).  The weights are cyclic windows on those integers,
-    the q-shift a rotation, the sign a subtraction, and the summands add
-    into one accumulator.  x -> 2^bits is a ring homomorphism Z[x] -> Z,
-    and the weights, rotation, sign and sum act on each q-column alone, so
-    they commute with it.  A cyclic window [M] makes each output the sum of
+    Each summand's folded w-run becomes its order q-columns (_pack_columns
+    of _base_rows).  The weights are cyclic windows on those integers, the
+    q-shift a rotation, the sign a subtraction, and the summands add into
+    one accumulator.  x -> 2^bits is a ring homomorphism Z[x] -> Z, and the
+    weights, rotation, sign and sum act on each q-column alone, so they
+    commute with it.  A cyclic window [M] makes each output the sum of
     exactly M inputs, so every coefficient of the sum is at most bound =
     the sum over the summands of maxabs(w-run) * prod M^r, which
     _packing_bits turns into bits.
     """
-    bases = [t.base(order) for t in summands]
-    bound = sum(base._max_abs() * math.prod(n ** r for n, r, _ in t.weights)
-                for t, base in zip(summands, bases))
+    bases = [_base_rows(t, order) for t in summands]
+    bound = sum(top * math.prod(n ** r for n, r, _ in t.weights)
+                for t, (_, top) in zip(summands, bases))
     bits = _packing_bits(bound, order, moduli)
     acc = [0] * order
-    for t, base in zip(summands, bases):
-        cols = base._x_packed(order, bits)
+    for t, (rows, _) in zip(summands, bases):
+        cols = _pack_columns(rows or [[0] * order], bits)
         for n, r, stride in t.weights:
-            for _ in range(r):
-                cols = _window_slide_cyclic(cols, n, stride, order)
+            cols = _window_slide_cyclic(cols, n, stride, order, r)
         turn = order - t.shift % order
         acc = list(map(sub if t.negative else add, acc,
                        cols[turn:] + cols[:turn]))
-    depth = max((base.x_degree() for base in bases), default=0) + 1
+    depth = max((len(rows) for rows, _ in bases), default=1)
     return acc, bits, depth
+
+
+def _base_rows(t, order):
+    """(rows, top) of the summand's folded w-run: its x-slices padded to
+    order q-coefficients (QLaurent._x_rows) and its largest coefficient
+    magnitude.  The r-siblings of a grid cell share them, so inside a grid
+    they are kept in its memo scope; outside a grid nothing keeps them."""
+    memo = _GRID_MEMO.get()
+    key = ("packed rows", t.k, t.count, t.alpha, t.m, t.doubled, order)
+    if memo is not None and key in memo:
+        return memo[key]
+    base = t.base(order)
+    entry = base._x_rows(order), base._max_abs()
+    if memo is not None:
+        memo[key] = entry
+    return entry
 
 
 def _packing_bits(bound, order, moduli=()):
@@ -586,10 +602,10 @@ def _qsum_runner(statement, build, summands, decide, moduli):
     The witness is the remainder of q^shift times the full value, with shift
     = max(0, -min_q_exp); q is a unit modulo q^N - 1, so the verdict does
     not depend on the shift, and the witness is the remainder of the folded
-    value rotated by it.  The summands' lowest q-terms give min_q_exp; when
-    they cancel, the cell builds the full value and decides that instead.
-    An unfaulted cell is first reduced on its x-packed q-columns
-    (_packed_columns) and passes if every remainder is zero.  Any other cell
+    value rotated by it.  An unfaulted cell is first reduced on its x-packed
+    q-columns (_packed_columns) at shift 0 and passes if every remainder is
+    zero.  Any other cell reads min_q_exp off the summands' lowest q-terms
+    (when they cancel, it builds the full value and decides that instead),
     builds its value with build and decides it with decide, which gives the
     witness; if a cell that failed on its columns then passes, the
     packing's bound was wrong, and it raises.
@@ -599,19 +615,18 @@ def _qsum_runner(statement, build, summands, decide, moduli):
         mods = moduli(n)
         order = math.lcm(*(d for _, d in mods))
         terms = summands(**p)
-        low = _lowest_q_exp(terms, fault)
-        packed = low is not None and not fault
-        if packed:
+        if not fault:
             cols, _, _ = _packed_columns(terms, order, mods)
-            if not any(_packed_remainders(cols, mods, max(0, -low))):
+            if not any(_packed_remainders(cols, mods, 0)):
                 return [Verdict(statement, dict(p), True)]
+        low = _lowest_q_exp(terms, fault)
         value = build(p, None if low is None else order)
         if fault:
             value = value + QLaurent.one()
         if low is not None:
             value = value.shift_q(max(0, -low)).fold(order)
         verdict = decide(value, n, statement, p)
-        if packed and verdict.passed:
+        if not fault and verdict.passed:
             raise ArithmeticError(
                 f"{statement} {p}: a packed remainder is nonzero but the "
                 f"value's remainder is zero; the packing bound is too small")
@@ -766,29 +781,33 @@ def _resolve_ranges(spec, schema):
 
 
 def _enumerate_cells(spec, schema):
-    if schema.sampled:
-        bounds = dict((name, (lo, hi))
-                      for name, lo, hi in _resolve_ranges(spec, schema))
-        rng = random.Random(spec.seed)
-        cells = []
-        for _ in range(spec.count):
-            d = rng.randint(*bounds["d"])
-            a = rng.randint(*bounds["a"])
-            cells.append({
-                "d": d,
-                "a": a,
-                "b": rng.randint(0, d - 1),
-                "s": rng.randint(0, a + 1),
-                "t": rng.randint(0, d - 1),
-            })
-        return cells
+    # the ranges are checked here, at once; sampled cells are drawn lazily
     resolved = _resolve_ranges(spec, schema)
+    if schema.sampled:
+        bounds = {name: (lo, hi) for name, lo, hi in resolved}
+        return _sampled_cells(bounds, spec.count, spec.seed)
     cells = [{}]
     for name, lo, hi in resolved:
         cells = [dict(c, **{name: v}) for c in cells for v in range(lo, hi + 1)]
     if schema.cell_filter is not None:
         cells = [c for c in cells if schema.cell_filter(c)]
     return cells
+
+
+def _sampled_cells(bounds, count, seed):
+    # count q-Lucas cells drawn from one seeded generator, each as it is
+    # needed, so memory and the time to the first cell do not grow with count
+    rng = random.Random(seed)
+    for _ in range(count):
+        d = rng.randint(*bounds["d"])
+        a = rng.randint(*bounds["a"])
+        yield {
+            "d": d,
+            "a": a,
+            "b": rng.randint(0, d - 1),
+            "s": rng.randint(0, a + 1),
+            "t": rng.randint(0, d - 1),
+        }
 
 
 def grid_verify(spec):

@@ -33,6 +33,10 @@ modulo the order, from prefix sums of the cycle taken twice; no linear
 window is built.  A folded value can also be packed in x alone: under
 x -> 2^bits each of its order q-columns is one integer (_pack_columns), so
 q-side maps such as the cyclic window run once per column, not per x-slice.
+A folded slice with no negative coefficient is raised to a power the other
+way round: packed in q into one integer, raised by one integer power and
+wrapped modulo 2^(bits*order) - 1, with its digit sum checked against the
+value at q = 1 (_cyclic_run_power).
 """
 
 from __future__ import annotations
@@ -285,17 +289,20 @@ def _window_slide(run, n, stride=1):
     return out
 
 
-def _window_slide_cyclic(run, n, stride, order):
-    """_window_slide in Z[q]/(q^order - 1), for a run folded to length order.
+def _window_slide_cyclic(run, n, stride, order, r=1):
+    """_window_slide r times in Z[q]/(q^order - 1), for a run folded to
+    length order: the product with the r-th power of [n] at q^stride.
 
     q^stride moves the exponents mod order in g = gcd(stride, order) cycles
     of p = order / g terms; the cycle through c < g is
-    (run * (stride // g))[c::stride].  On each cycle the factor is n // p
-    whole turns, which add the cycle's total to each of its terms, plus a
-    window of n mod p terms, a difference of prefix sums of the cycle taken
-    twice.  Cycle c is written to buf[c::stride] of a buffer of p*stride
-    terms, whose fold places every exponent once; when stride divides order
-    the buffer is already folded and is returned as it is.
+    (run * (stride // g))[c::stride], and the factor maps each cycle to
+    itself, so all r passes run on one cycle before the next.  On a cycle
+    the factor is n // p whole turns, which add the cycle's total to each of
+    its terms, plus a window of n mod p terms, a difference of prefix sums
+    of the cycle taken twice.  Cycle c is written to buf[c::stride] of a
+    buffer of p*stride terms, whose fold places every exponent once; when
+    stride divides order the buffer is already folded and is returned as it
+    is.
     """
     g = math.gcd(stride, order)
     period = order // g
@@ -304,11 +311,59 @@ def _window_slide_cyclic(run, n, stride, order):
     buf = [0] * (period * stride)
     for c in range(g):
         cycle = turns[c::stride]
-        pref = list(accumulate(cycle + cycle, initial=0))
-        window = map(sub, pref[period + 1:],
-                     pref[period + 1 - rest:2 * period + 1 - rest])
-        buf[c::stride] = map(add, window, repeat(laps * pref[period]))
+        for _ in range(r):
+            pref = list(accumulate(cycle + cycle, initial=0))
+            window = map(sub, pref[period + 1:],
+                         pref[period + 1 - rest:2 * period + 1 - rest])
+            cycle = list(map(add, window, repeat(laps * pref[period])))
+        buf[c::stride] = cycle
     return buf if g == stride else _fold_cyclic(buf, 0, order)
+
+
+def _power_bits(run, alpha):
+    # Bits per digit, in whole bytes, for the alpha-th power of a
+    # nonnegative run of L <= order terms, each at most c, mod q^order - 1.
+    # Its q^j coefficient sums the products over the alpha-tuples of indices
+    # whose sum is j mod order; the first alpha - 1 indices fix the last one
+    # mod order, and L <= order leaves at most one choice below L, so there
+    # are at most L^(alpha-1) such tuples, over every wrap at once, and each
+    # coefficient is at most c^alpha L^(alpha-1) < 2^bits.
+    return ((max(run) ** alpha * len(run) ** (alpha - 1)).bit_length()
+            + 7) & ~7
+
+
+def _cyclic_run_power(qmin, run, alpha, order):
+    """(q^qmin run)^alpha in Z[q]/(q^order - 1) as its order coefficients,
+    for a nonempty, nonnegative run with qmin + len(run) <= order.
+
+    q -> 2^bits (Kronecker substitution, Harvey 2009) packs the run
+    into one integer P, bits from _power_bits, and P^alpha is one integer
+    power.  2^(bits*order) is 1 modulo 2^(bits*order) - 1, so wrapping
+    P^alpha modulo that number folds its exponents mod order (as in GMP's
+    mpn_mulmod_bnm1); multiplying by q^(alpha*qmin) is a rotation of the
+    order digits.  Every digit is nonnegative, so a carry out of a digit,
+    which a short bound would cause, lowers the digit sum by 2^bits - 1;
+    the digit sum must equal the value at q = 1, (sum of run)^alpha, or
+    this raises ArithmeticError, also under python -O.
+    """
+    bits = _power_bits(run, alpha)
+    nb = bits >> 3
+    width = bits * order
+    mask = (1 << width) - 1
+    packed = b"".join(map(int.to_bytes, run, repeat(nb), repeat("little")))
+    value = pow(int.from_bytes(packed, "little"), alpha)
+    while value >> width:
+        value = (value & mask) + (value >> width)
+    turn = alpha * qmin % order * bits
+    value = (value << turn & mask) | value >> (width - turn)
+    digits = value.to_bytes(nb * order, "little")
+    out = [int.from_bytes(digits[i:i + nb], "little")
+           for i in range(0, nb * order, nb)]
+    if sum(out) != sum(run) ** alpha:
+        raise ArithmeticError(
+            f"packed slice power: the digits of a {alpha}-th power mod "
+            f"q^{order} - 1 at {bits} bits carried; the bound is too small")
+    return out
 
 
 def _divexact_lists(num, den):
@@ -872,10 +927,10 @@ class QLaurent:
 
         def window(qmin, run):
             if order is not None:
-                qmin, run = 0, _fold_cyclic(run, qmin, order)
+                return 0, _window_slide_cyclic(_fold_cyclic(run, qmin, order),
+                                               n, stride, order, r)
             for _ in range(r):
-                run = (_window_slide(run, n, stride) if order is None
-                       else _window_slide_cyclic(run, n, stride, order))
+                run = _window_slide(run, n, stride)
             return qmin, run
         return self._map(window)
 
@@ -899,39 +954,53 @@ class QLaurent:
         return max((max(map(abs, s[1])) for s in self._slices if s is not None),
                    default=0)
 
-    def _x_packed(self, order, bits):
-        """The fold mod q^order - 1 as its order q-columns under x -> 2^bits
-        (see _pack_columns)."""
+    def _x_rows(self, order):
+        """The fold mod q^order - 1 as its x-slices, lowest x first, each
+        padded to order q-coefficients: under x -> 2^bits (_pack_columns)
+        they give the value's order q-columns."""
         rows = []
         for s in self.fold(order)._slices:
             row = [0] * order
             if s is not None:
                 row[s[0]:s[0] + len(s[1])] = s[1]
             rows.append(row)
-        return _pack_columns(rows or [[0] * order], bits)
+        return rows
 
     @classmethod
     def _x_unpacked(cls, cols, bits, depth):
-        """Inverse of _x_packed for x-degree below depth and coefficients in
-        [-2^(bits-1), 2^(bits-1)): the value with q^e-column cols[e]."""
+        """Inverse of packing _x_rows for x-degree below depth and
+        coefficients in [-2^(bits-1), 2^(bits-1)): the value with q^e-column
+        cols[e]."""
         return cls([(0, row) for row in _unpack_columns(cols, bits, depth)])
 
-    def _slice_mul(self, other, order=None):
+    def _slice_mul(self, other):
         """The value whose x^d slice is the product of the x^d slices of
-        this value and other.  Given an order, the fold of that value."""
-        value = QLaurent([None if a is None or b is None
-                          else (a[0] + b[0], _convolve(a[1], b[1]))
-                          for a, b in zip(self._slices, other._slices)])
-        return value if order is None else value.fold(order)
+        this value and other."""
+        return QLaurent([None if a is None or b is None
+                         else (a[0] + b[0], _convolve(a[1], b[1]))
+                         for a, b in zip(self._slices, other._slices)])
 
     def _slice_power(self, alpha, order=None):
         """The value whose x^d slice is the alpha-th power of this value's
-        x^d slice.  Given an order, the fold of that value, with each product
+        x^d slice.  Given an order, the fold of that value: a folded slice
+        with no negative coefficient is raised by one packed integer power
+        (_cyclic_run_power), and any other by a chain of products, each
         folded before the next one."""
-        out = self if order is None else self.fold(order)
-        for _ in range(alpha - 1):
-            out = out._slice_mul(self, order)
-        return out
+        if order is None:
+            out = self
+            for _ in range(alpha - 1):
+                out = out._slice_mul(self)
+            return out
+
+        def power(qmin, run):
+            if min(run) >= 0:
+                return 0, _cyclic_run_power(qmin, run, alpha, order)
+            out = _fold_cyclic(run, qmin, order)
+            for _ in range(alpha - 1):
+                out = _fold_cyclic(_convolve(out, run), qmin, order)
+            return 0, out
+        folded = self.fold(order)
+        return folded._map(power) if alpha > 1 else folded
 
     def subst_q_squared(self):
         """q -> q^2."""

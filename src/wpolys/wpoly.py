@@ -66,19 +66,20 @@ def q_w_poly(k, alpha, order=None):
     makes no polynomial product and checks the support of the defining sum.
 
     Slice j of the value is the alpha-th power of slice j at alpha = 1, and
-    alpha > 1 is the slice-wise product of the cached alpha - 1 and alpha = 1
-    values, so alpha = 3 reuses alpha = 2.  With an order, the image in
-    Z[x][q]/(q^order - 1) (see QLaurent.fold): at alpha = 1 the fold of the
-    cached full value, and at alpha > 1 the product of the folded values,
-    folded.
+    the full value at alpha > 1 is the slice-wise product of the cached
+    alpha - 1 and alpha = 1 values, so alpha = 3 reuses alpha = 2.  With an
+    order, the image in Z[x][q]/(q^order - 1) (see QLaurent.fold): at
+    alpha = 1 the fold of the cached full value, and at alpha > 1 the slice
+    power of that folded value, which takes each nonnegative slice (every
+    slice, as q-Narayana runs) by one packed integer power.
     """
     if k < 1 or alpha < 1:
         raise ValueError("q_w_poly needs k, alpha >= 1")
     if alpha > 1:
+        if order is not None:
+            return q_w_poly(k, 1, order)._slice_power(alpha, order)
         # the full value's memo keys have no order
-        tail = () if order is None else (order,)
-        return q_w_poly(k, alpha - 1, *tail)._slice_mul(
-            q_w_poly(k, 1, *tail), order)
+        return q_w_poly(k, alpha - 1)._slice_mul(q_w_poly(k, 1))
     if not (_defining_base(k, 0).is_zero()
             and _defining_base(k, k + 1).is_zero()):
         raise ArithmeticError(

@@ -1,5 +1,9 @@
 import math
 import random
+import tracemalloc
+from dataclasses import replace
+
+import pytest
 
 from wpolys import congruence
 from wpolys.congruence import (
@@ -212,6 +216,54 @@ def test_grid_verify_sampled_qlucas_deterministic():
     second = grid_verify(spec)
     assert first == second
     assert len(first) == 40 and all(v.passed for v in first)
+
+
+def _eager_qlucas_sample(spec):
+    # the sampler as it drew every cell before the first verdict
+    bounds = {name: (lo, hi) for name, lo, hi in congruence._resolve_ranges(
+        spec, STATEMENTS[spec.statement])}
+    rng = random.Random(spec.seed)
+    cells = []
+    for _ in range(spec.count):
+        d = rng.randint(*bounds["d"])
+        a = rng.randint(*bounds["a"])
+        cells.append({
+            "d": d,
+            "a": a,
+            "b": rng.randint(0, d - 1),
+            "s": rng.randint(0, a + 1),
+            "t": rng.randint(0, d - 1),
+        })
+    return cells
+
+
+def test_sampled_cells_are_drawn_lazily_in_the_seeded_order():
+    for seed in range(4):
+        for ranges in ((), (("d", 3, 7), ("a", 1, 2))):
+            spec = GridSpec("lemma-qlucas", ranges, count=300, seed=seed)
+            want = _eager_qlucas_sample(spec)
+            cells = congruence._enumerate_cells(
+                spec, STATEMENTS["lemma-qlucas"])
+            assert iter(cells) is cells and list(cells) == want
+            assert [v.params for v in congruence.grid_stream(spec)] == want
+    # a bad range still raises at once, before any cell is drawn
+    for ranges in ((("d", 1, 3),), (("a", 2, 1),), (("n", 1, 2),)):
+        with pytest.raises(GridError):
+            congruence.grid_stream(GridSpec("lemma-qlucas", ranges))
+
+
+def test_first_sampled_verdict_does_not_draw_the_whole_count():
+    spec = GridSpec("lemma-qlucas", count=200000)
+    tracemalloc.start()
+    try:
+        cells = congruence.grid_stream(spec)
+        first = next(cells)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    cells.close()
+    assert [first] == grid_verify(replace(spec, count=1))
+    assert peak < 1 << 20, peak
 
 
 def test_grid_verify_fault_injection():

@@ -85,7 +85,9 @@ def test_folded_runner_matches_full_value(statement, params, fault):
 def test_cancelled_lowest_terms_rebuild_the_same_witness(statement,
                                                          monkeypatch):
     # when the summands' lowest q-terms cancel, the runner cannot read the
-    # shift off them and must fall back to the full value
+    # shift off them and must fall back to the full value; a passing
+    # unfaulted cell is decided on its packed columns and reads no lowest
+    # terms
     calls = []
 
     def cancelled(summands, fault):
@@ -99,7 +101,7 @@ def test_cancelled_lowest_terms_rebuild_the_same_witness(statement,
     for fault in (False, True):
         got = STATEMENTS[statement].runner(params, fault)
         assert got == [_full_verdict(statement, params, fault)]
-    assert calls == [False, True]
+    assert calls == [True]
 
 
 def _spy_q_w_poly(monkeypatch):
@@ -161,10 +163,116 @@ def test_cancelled_lowest_terms_still_build_the_full_value(monkeypatch):
     calls = _spy_q_w_poly(monkeypatch)
     monkeypatch.setattr(congruence, "_lowest_q_exp", lambda *args: None)
     params = {"n": 5, "alpha": 2, "m": 1, "r": 1}
-    assert STATEMENTS["thm-qsum-plain"].runner(params, False) == [
-        _full_verdict("thm-qsum-plain", params, False)]
+    # a faulted cell: an unfaulted one passes on its packed columns
+    assert STATEMENTS["thm-qsum-plain"].runner(params, True) == [
+        _full_verdict("thm-qsum-plain", params, True)]
     # every alpha = 1 build is full now, so look for a full alpha = 2 value
     assert any(args[1:] == (2,) for args in calls)
+
+
+# a failing cell of each q-sum statement once its k = 1 summand's first
+# weight [M] becomes [M + 1] (_bump_first_weight)
+FAILING_CELLS = {
+    "thm-qsum-plain": {"n": 6, "alpha": 2, "m": 1, "r": 2},
+    "thm-qsum-alternating": {"n": 6, "alpha": 2, "m": 1, "r": 1},
+    "thm-qsum-product": {"n": 5, "alpha": 1, "m": 2, "r": 1},
+    "thm-qsum-general": {"n": 5, "alpha": 1, "beta": 2, "m": 1, "r": 1},
+}
+
+
+def _bump_first_weight(monkeypatch):
+    # every summand table builds _Summand by its module-global name, so the
+    # runner and the public qsum_* read the same bumped weight; the running
+    # full q-sum starts empty and is dropped afterwards
+    real = congruence._Summand
+
+    def bumped(k, *args, **kwargs):
+        t = real(k, *args, **kwargs)
+        if k > 1:
+            return t
+        (n, r, stride), *rest = t.weights
+        return dataclasses.replace(t, weights=((n + 1, r, stride), *rest))
+
+    monkeypatch.setattr(congruence, "_Summand", bumped)
+    monkeypatch.setattr(congruence, "_RUNNING_QSUM", {})
+
+
+@pytest.mark.parametrize("statement", sorted(FULL_PATH))
+def test_failing_cell_with_cancelled_lowest_terms_gives_the_full_witness(
+        statement, monkeypatch):
+    # an unfaulted cell that fails on its packed columns reads the lowest
+    # terms for its witness; when they cancel, it decides the full value
+    _bump_first_weight(monkeypatch)
+    params = FAILING_CELLS[statement]
+    want = _full_verdict(statement, params, False)
+    assert not want.passed and want.witness
+    assert STATEMENTS[statement].runner(params, False) == [want]
+    calls = []
+    monkeypatch.setattr(congruence, "_lowest_q_exp",
+                        lambda summands, fault: calls.append(fault))
+    assert STATEMENTS[statement].runner(params, False) == [want]
+    assert calls == [False]
+
+
+@pytest.mark.parametrize("statement,ranges", GRIDS)
+def test_passing_qsum_cells_read_no_lowest_terms(statement, ranges,
+                                                 monkeypatch):
+    # q is a unit, so a pass on the packed columns at shift 0 needs no
+    # lowest term; only the witness of a faulted cell reads them
+    calls = []
+    real = congruence._lowest_q_exp
+    monkeypatch.setattr(congruence, "_lowest_q_exp",
+                        lambda *args: calls.append(args[1]) or real(*args))
+    spec = congruence.GridSpec(statement, ranges)
+    verdicts = congruence.grid_verify(spec)
+    assert verdicts and all(v.passed for v in verdicts)
+    assert not calls
+    faulted = congruence.grid_verify(dataclasses.replace(
+        spec, inject_fault=True))
+    assert calls == [True] * len(faulted)
+
+
+def test_packed_rows_live_only_in_the_grid_scope(monkeypatch):
+    # each folded w-run's padded rows are built once per grid, shared by the
+    # r-siblings of a cell through the grid's memo scope, and nothing keeps
+    # them once the grid ends or is closed; a folded qsum_* call outside a
+    # grid keeps none
+    made = []
+    real = QLaurent._x_rows
+    monkeypatch.setattr(QLaurent, "_x_rows", lambda self, order:
+                        made.append(real(self, order)) or made[-1])
+    keys = set()
+    entry = STATEMENTS["thm-qsum-alternating"]
+
+    def runner(p, fault):
+        verdicts = entry.runner(p, fault)
+        keys.update(key for key in wpoly._GRID_MEMO.get()
+                    if key[0] == "packed rows")
+        return verdicts
+
+    monkeypatch.setitem(STATEMENTS, "thm-qsum-alternating",
+                        dataclasses.replace(entry, runner=runner))
+    assert wpoly._GRID_MEMO.get() is None
+    assert qsum_alternating(6, 2, 1, 2, order=12) == qsum_alternating(
+        6, 2, 1, 2).fold(12)
+    assert made and all(gc.get_referrers(rows) == [made] for rows in made)
+    spec = congruence.GridSpec("thm-qsum-alternating", (
+        ("n", 2, 7), ("alpha", 1, 2), ("r", 1, 3)))
+    for half_read in (False, True):
+        made.clear()
+        keys.clear()
+        cells = congruence.grid_stream(spec)
+        if half_read:
+            for _ in range(7):
+                next(cells)
+            cells.close()
+        else:
+            verdicts = list(cells)
+            # three r-siblings per (n, alpha), n - 1 summands each
+            assert sum(v.params["n"] - 1 for v in verdicts) == 3 * len(keys)
+        assert len(made) == len(keys) > 0
+        assert cells.gi_frame is None
+        assert all(gc.get_referrers(rows) == [made] for rows in made)
 
 
 def test_lowest_terms_give_the_full_value_lowest_exponent():

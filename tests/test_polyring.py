@@ -12,6 +12,7 @@ from wpolys.polyring import (
     QPoly,
     XPoly,
     _convolve,
+    _fold_cyclic,
     _kronecker,
     _pack,
     _pack_columns,
@@ -549,6 +550,45 @@ def test_window_slide_cyclic_matches_the_folded_linear_window():
                     if n else [0] * order)
                 got = polyring._window_slide_cyclic(run, n, stride, order)
                 assert got == want, (order, stride, n)
+
+
+def test_window_slide_cyclic_runs_r_passes_in_one_call():
+    rng = random.Random(89)
+    for order in range(1, 25):
+        for stride in range(1, 6):
+            run = [rng.randint(-10 ** 6, 10 ** 6) for _ in range(order)]
+            n = rng.randint(1, 3 * order)
+            want = run
+            for r in range(5):
+                assert polyring._window_slide_cyclic(
+                    run, n, stride, order, r) == want, (order, stride, r)
+                want = polyring._window_slide_cyclic(want, n, stride, order)
+
+
+def test_cyclic_run_power_matches_the_folded_product_chain():
+    # nonnegative runs at random starts, against alpha - 1 convolutions each
+    # folded; all-equal runs of full length make every coefficient of the
+    # power exactly c^alpha order^(alpha-1), the bound of _power_bits
+    rng = random.Random(101)
+    for order in range(1, 30):
+        for alpha in range(2, 6):
+            runs = [(0, [c] * order) for c in (1, 255, 256, 2 ** 16 - 1)]
+            for _ in range(4):
+                size = rng.randint(1, order)
+                run = [rng.randint(0, 10 ** rng.randint(0, 12))
+                       for _ in range(size)]
+                run[rng.randrange(size)] += 1
+                runs.append((rng.randint(0, order - size), run))
+            for qmin, run in runs:
+                base = _fold_cyclic(run, qmin, order)
+                want = base
+                for _ in range(alpha - 1):
+                    want = _fold_cyclic(_convolve(want, base), 0, order)
+                got = polyring._cyclic_run_power(qmin, run, alpha, order)
+                assert got == want, (order, alpha, qmin, run)
+                if len(set(run)) == 1 and len(run) == order:
+                    assert set(got) == {run[0] ** alpha
+                                        * order ** (alpha - 1)}
 
 
 def test_fold_of_a_folded_value_is_that_value():

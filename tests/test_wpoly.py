@@ -3,8 +3,10 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import wpolys
-from wpolys import wpoly
+from wpolys import polyring, wpoly
 from wpolys.intcomb import binomial_general, w_number
 from wpolys.polyring import DivisionWitness, QLaurent, XPoly
 from wpolys.wpoly import (
@@ -213,6 +215,71 @@ def test_folded_block_at_alpha_is_the_slice_power_of_the_folded_block_at_one():
     for a, b, d, alpha in _block_cells():
         assert (b_poly(a, b, d, 1).fold(d)._slice_power(alpha, d)
                 == b_poly(a, b, d, alpha).fold(d)), (a, b, d, alpha)
+
+
+def _slice_chains(value, order, top):
+    # the schoolbook slice powers at alpha = 2..top of the fold of value:
+    # each is the slice product of the one before and the fold, folded
+    folded = value.fold(order)
+    out = [folded]
+    for _ in range(top - 1):
+        out.append(out[-1]._slice_mul(folded).fold(order))
+    return dict(enumerate(out[1:], 2))
+
+
+def _spy_packed_runs(monkeypatch):
+    # the runs that go through the packed integer power
+    runs = []
+    real = polyring._cyclic_run_power
+    monkeypatch.setattr(polyring, "_cyclic_run_power", lambda qmin, run, *a:
+                        runs.append(run) or real(qmin, run, *a))
+    return runs
+
+
+def test_packed_slice_power_matches_the_product_chain(monkeypatch):
+    # every folded slice of q_w_poly(k, 1) is nonnegative, so each goes
+    # through the packed power; N = 1 and N > 2k cover one lap and none
+    runs = _spy_packed_runs(monkeypatch)
+    for k in range(1, 25):
+        for order in range(1, 49):
+            folded = q_w_poly(k, 1, order)
+            for alpha, want in _slice_chains(folded, order, 4).items():
+                runs.clear()
+                assert folded._slice_power(alpha, order) == want, (
+                    k, alpha, order)
+                assert len(runs) == k, (k, alpha, order)
+    # and through q_w_poly itself, against the full value's chain
+    for k, alpha, order in ((24, 2, 48), (24, 3, 7), (17, 4, 34), (9, 3, 1)):
+        runs.clear()
+        assert q_w_poly.__wrapped__(k, alpha, order) == _slice_chains(
+            q_w_poly(k, 1), order, alpha)[alpha]
+        assert len(runs) == k
+
+
+def test_signed_folded_block_slices_take_the_product_chain(monkeypatch):
+    # lemma-23's folded blocks have signed slices; those keep the schoolbook
+    # chain and the nonnegative ones of the same value take the packed power
+    runs = _spy_packed_runs(monkeypatch)
+    signed = 0
+    for a, b, d, _ in _block_cells():
+        block = b_poly(a, b, d, 1)
+        folded = block.fold(d)
+        live = [s[1] for s in folded._slices if s is not None]
+        signed += sum(min(run) < 0 for run in live)
+        for alpha, want in _slice_chains(block, d, 4).items():
+            runs.clear()
+            assert folded._slice_power(alpha, d) == want, (a, b, d, alpha)
+            assert runs == [run for run in live if min(run) >= 0]
+    assert signed
+
+
+def test_packed_slice_power_with_a_short_bound_raises(monkeypatch):
+    # a carry out of a digit lowers the digit sum below the value at q = 1,
+    # so too few bits raise instead of giving a wrong slice
+    monkeypatch.setattr(polyring, "_power_bits", lambda run, alpha: 8)
+    for alpha, order in ((2, 24), (3, 7)):
+        with pytest.raises(ArithmeticError, match="bound is too small"):
+            q_w_poly(12, 1, order)._slice_power(alpha, order)
 
 
 def test_b_poly_rejects_bad_domain():
