@@ -7,14 +7,14 @@ import math
 import random
 import time
 from dataclasses import dataclass, replace
-from functools import cache, lru_cache
-from itertools import chain, zip_longest
+from functools import cache
+from itertools import chain
 from operator import add, sub
 
 from .intcomb import divisors, lcm_range, rising_factorial, w_identity_suite
 from .polyring import (DivisionWitness, QLaurent, QPoly, XPoly,
                        _divmod_monic_lists, _fold_cyclic, _pack_columns,
-                       _window_slide_cyclic)
+                       _packing_bits, _window_slide_cyclic)
 from .qobjects import (_GRID_MEMO, _q_lucas_remainder, cyclotomic,
                        lemma31_check, q_lucas_check)
 from .verdicts import Verdict
@@ -256,28 +256,6 @@ def _base_rows(t, order):
     if memo is not None:
         memo[key] = entry
     return entry
-
-
-def _packing_bits(bound, order, moduli=()):
-    """Bits per x-digit for q-columns mod q^order - 1 with coefficients of
-    magnitude at most bound, such that each remainder modulo a (mod, d) of
-    moduli decodes too: folding to d sums order/d columns, and a remainder
-    of d terms of magnitude at most c is at most c * R(mod, d) (_rem_spread).
-    bits is bit_length(bound * that factor) + 2 in whole bytes, so each value
-    lies in [-2^(bits-1), 2^(bits-1)), where x -> 2^bits is injective.  An
-    under-estimated bound would decode wrongly and raise nothing."""
-    spread = max((order // d * _rem_spread(mod.coeffs, d)
-                  for mod, d in moduli), default=1)
-    return ((bound * spread).bit_length() + 2 + 7) & ~7
-
-
-@lru_cache(maxsize=256)
-def _rem_spread(mod, order):
-    # R(mod, order) = max over i of the sum over e < order of
-    # |(q^e mod mod)_i|, for mod a monic coefficient tuple
-    rems = (map(abs, _divmod_monic_lists([0] * e + [1], mod)[1])
-            for e in range(order))
-    return max(map(sum, zip_longest(*rems, fillvalue=0)))
 
 
 def _packed_remainders(cols, moduli, shift):

@@ -10,8 +10,7 @@ from functools import cache
 from itertools import accumulate
 
 from .intcomb import divisors, mobius
-from .polyring import (DivisionWitness, QLaurent, QPoly, _divmod_monic_lists,
-                       _sub_lists)
+from .polyring import DivisionWitness, QLaurent, QPoly, _divmod_monic_lists
 
 
 # The memo scope of the grid being run: a dict that congruence.grid_stream
@@ -137,18 +136,20 @@ def q_lucas_check(d, a, b, s, t):
     return not _q_lucas_row(d, a, b, s, t)
 
 
-def _q_pascal_rows(d, n):
+def _q_pascal_rows(d, n, memo=None):
     """The folded q-Pascal table of d, built at least to row n: entry [m][k]
     is qbinom(m, k) mod q^d - 1, a list of d ints, for 0 <= k <= m.
 
     qbinom(m, k) = qbinom(m-1, k-1) + q^k qbinom(m-1, k) (Andrews, The
     Theory of Partitions, Thm 3.2), and multiplying by q^k in
     Z[q]/(q^d - 1) rotates a row right by k mod d; qbinom(m, k) =
-    qbinom(m, m-k), so the upper half of each row repeats the lower.  In a
-    grid the table lives in its memo scope under ("q-pascal", d) and grows
-    on demand; outside one a call builds its own rows.
+    qbinom(m, m-k), so the upper half of each row repeats the lower.  The
+    table lives in memo, by default the grid's memo scope, under
+    ("q-pascal", d) and grows on demand; outside a grid and with no memo a
+    call builds its own rows.
     """
-    memo = _GRID_MEMO.get()
+    if memo is None:
+        memo = _GRID_MEMO.get()
     rows = [] if memo is None else memo.setdefault(("q-pascal", d), [])
     if not rows:
         rows.append([[1] + [0] * (d - 1)])
@@ -171,14 +172,15 @@ def _q_lucas_row(d, a, b, s, t):
     divides; the remainder is that of the full difference.  Both folded
     binomials are read from the q-Pascal table (_q_pascal_rows), so the
     difference is one row of d integers, and no polynomial value is made.
+    A binomial whose bottom exceeds its top is zero, and so is C(a, s) when
+    s > a.
     """
     rows = _q_pascal_rows(d, a * d + b)
-
-    def folded(n, k):
-        return rows[n][k] if k <= n else []
+    k = s * d + t
+    row = rows[a * d + b][k] if k <= a * d + b else [0] * d
     c = math.comb(a, s)
-    row = _sub_lists(folded(a * d + b, s * d + t),
-                     [c * x for x in folded(b, t)])
+    if c and t <= b:
+        row = [x - c * y for x, y in zip(row, rows[b][t])]
     return _divmod_monic_lists(row, cyclotomic(d).coeffs)[1]
 
 

@@ -5,10 +5,14 @@ from __future__ import annotations
 
 import math
 from functools import cache
+from operator import sub
 
 from .intcomb import binomial_general, narayana_number, w_number
-from .polyring import QLaurent, XPoly
-from .qobjects import _GRID_MEMO, _ratio_step, cyclotomic, q_binomial
+from .polyring import (QLaurent, XPoly, _add_lists, _convolve,
+                       _cyclic_run_power, _cyclic_run_product,
+                       _divmod_monic_lists, _pack_columns, _packing_bits)
+from .qobjects import (_GRID_MEMO, _q_pascal_rows, _qbinom_poly, _ratio_step,
+                       cyclotomic, q_binomial)
 from .verdicts import Verdict
 
 
@@ -139,6 +143,17 @@ def _block_base(b, d, t):
     return first + second
 
 
+def _block_run(b, d, t):
+    # _block_base(b, d, t) for d > 2 and 1 <= b <= d - 2, where every top is
+    # nonnegative, as its coefficient list from q^0: Gaussian-binomial rows
+    # (_qbinom_poly) and two convolutions, with no QLaurent made
+    def row(n, k):
+        return _qbinom_poly(n, k).coeffs if 0 <= k <= n else ()
+    first = _convolve(row(b - 1, t - 1), row(d - b - 1, t))
+    second = _convolve(row(b, t), row(d - b - 2, t - 1))
+    return _add_lists(second, [0] * (b + 1) + first) if first else second
+
+
 @cache
 def b_poly(a, b, d, alpha):
     """Block polynomial over s in [0,a], t in [1,d-1]: the t-base above to
@@ -159,15 +174,15 @@ def b_poly(a, b, d, alpha):
         raise ArithmeticError(f"b_poly: C({a},s)C({-a - 1},s) beyond [0, {a}]")
     if not (_block_base(b, d, 0).is_zero() and _block_base(b, d, d).is_zero()):
         raise ArithmeticError(f"b_poly: t-base of b={b} beyond [1, {d - 1}]")
-    # slice sd+t-1 is (-1)^(sd)C(a,s)C(-a-1,s) times slice t-1 of the s = 0
-    # block, and slice sd+d-1 is empty
-    row = [_block_base(b, d, t).shift_q(t * t) * (-1) ** t
-           for t in range(1, d)]
+    # slice sd+t-1 is (-1)^(sd+t) C(a,s)C(-a-1,s) q^(t^2) times the t-base,
+    # and slice sd+d-1 is empty
+    runs = [_block_run(b, d, t) for t in range(1, d)]
     slices = []
     for s in range(a + 1):
-        sign = (-1) ** (s * d)
-        c = sign * binomial_general(a, s) * binomial_general(-a - 1, s)
-        slices += [(base * c)._slices[0] if base else None for base in row]
+        c = ((-1) ** (s * d) * binomial_general(a, s)
+             * binomial_general(-a - 1, s))
+        slices += [(t * t, [(-c if t & 1 else c) * x for x in run])
+                   for t, run in enumerate(runs, 1)]
         slices.append(None)
     return QLaurent(slices)
 
@@ -198,7 +213,7 @@ def lemma_congruence_check(a, b, d, alpha):
     if second_pair:
         checks.append((3, a * d + b + 1, b + 1, 0))
         checks.append((4, a * d + d - b - 2, b + 1, -alpha * (2 * b + 3)))
-    # outside a grid the memo holds this call's blocks alone
+    # outside a grid the memo holds this call's table, rows and blocks alone
     memo = _GRID_MEMO.get()
     if memo is None:
         memo = {}
@@ -215,23 +230,94 @@ def lemma_congruence_check(a, b, d, alpha):
     return out
 
 
-def _decide_lemma23(memo, a, d, alpha, widx, bidx, shift):
-    """(passed, witness) of w_widx = q^shift B_{a,bidx,d} modulo
-    cyclotomic(d) at alpha, with the folded block kept in memo.
+def _w_rows(memo, k, alpha, d):
+    """(rows, top): the x-slices of q_w_poly(k, alpha, d), lowest x first,
+    each as its d q-coefficients, and their largest coefficient, kept in
+    memo under ("lemma-23 w rows", k, alpha, d).
+
+    At alpha = 1, slice j mod q^d - 1 is the cyclic difference
+    qbinom(k-1,j-1) qbinom(k+j,j) - qbinom(k,j) qbinom(k+j,j-1), rotated by
+    _w_shift(k, j); the folded binomials are entries of the q-Pascal table
+    of d kept in memo (_q_pascal_rows, rows up to 2k), and each product is
+    one packed multiply (_cyclic_run_product).  The difference is the fold
+    of q^k times a q-Narayana slice, so it is nonnegative, and slice j at
+    alpha > 1 is the packed alpha-th power of slice j at alpha = 1
+    (_cyclic_run_power).
+    """
+    key = ("lemma-23 w rows", k, alpha, d)
+    entry = memo.get(key)
+    if entry is None:
+        if alpha == 1:
+            qb = _q_pascal_rows(d, 2 * k, memo)
+            rows = []
+            for j in range(1, k + 1):
+                turn = _w_shift(k, j)
+                rows.append(list(map(
+                    sub, _cyclic_run_product(turn, qb[k - 1][j - 1],
+                                             qb[k + j][j], d),
+                    _cyclic_run_product(turn, qb[k][j], qb[k + j][j - 1], d))))
+        else:
+            rows = [_cyclic_run_power(0, row, alpha, d)
+                    for row in _w_rows(memo, k, 1, d)[0]]
+        entry = memo[key] = rows, max(map(max, rows))
+    return entry
+
+
+def _block_rows(memo, a, b, d, alpha):
+    """(rows, top) of the fold of b_poly(a, b, d, alpha) mod q^d - 1, as
+    in _w_rows, kept in memo under ("lemma-23 block", a, b, d, alpha).
 
     fold is a ring homomorphism, so the folded block is the slice power of
-    the folded alpha = 1 block; q is a unit mod cyclotomic(d), so the
-    folded difference has the same verdict, and only a failing equation
-    builds the full difference for its witness.
+    the folded alpha = 1 block, and no b_poly at alpha > 1 is built."""
+    key = ("lemma-23 block", a, b, d, alpha)
+    entry = memo.get(key)
+    if entry is None:
+        block = b_poly(a, b, d, 1).fold(d)._slice_power(alpha, d)
+        entry = memo[key] = block._x_rows(d), block._max_abs()
+    return entry
+
+
+def _packed_cols(memo, key, rows, bits):
+    # the rows' d q-columns under x -> 2^bits (_pack_columns), kept in memo
+    # per side and bit width
+    key = ("lemma-23 cols", *key, bits)
+    cols = memo.get(key)
+    if cols is None:
+        cols = memo[key] = _pack_columns(rows, bits)
+    return cols
+
+
+def _decide_lemma23(memo, a, d, alpha, widx, bidx, shift):
+    """(passed, witness) of w_widx = q^shift B_{a,bidx,d} modulo
+    cyclotomic(d) at alpha, decided on x-packed q-columns mod q^d - 1.
+
+    Each side's folded rows (_w_rows, _block_rows) become d integers under
+    x -> 2^bits, the block's are rotated by the shift and subtracted, and
+    one schoolbook division by cyclotomic(d) of those packed integers gives
+    the packed remainder of every x-slice at once.  Every coefficient of
+    the difference is at most the sum of the two sides' tops, so
+    _packing_bits of that sum makes the remainder decode, and a zero packed
+    remainder is a zero remainder.  q is a unit mod cyclotomic(d), so the
+    verdict is that of the full difference.  Only a failing equation builds
+    the full difference, whose remainder is the witness; if that remainder
+    is zero, the packing was wrong, and this raises ArithmeticError.
     """
-    block_key = ("lemma-23 block", a, bidx, d, alpha)
-    block = memo.get(block_key)
-    if block is None:
-        block = b_poly(a, bidx, d, 1).fold(d)._slice_power(alpha, d)
-        memo[block_key] = block
+    w_rows, w_top = _w_rows(memo, widx, alpha, d)
+    b_rows, b_top = _block_rows(memo, a, bidx, d, alpha)
     phi = cyclotomic(d)
-    folded = q_w_poly(widx, alpha, d) - block.shift_q(shift).fold(d)
-    if folded.rem_monic_cyclic(phi, d).is_zero():
+    bits = _packing_bits(w_top + b_top, d, [(phi, d)])
+    w_cols = _packed_cols(memo, ("w", widx, alpha, d), w_rows, bits)
+    b_cols = _packed_cols(memo, ("block", a, bidx, d, alpha), b_rows, bits)
+    turn = -shift % d
+    diff = map(sub, w_cols, b_cols[turn:] + b_cols[:turn])
+    if not any(_divmod_monic_lists(diff, phi.coeffs)[1]):
         return True, None
     full = q_w_poly(widx, alpha) - b_poly(a, bidx, d, alpha).shift_q(shift)
-    return False, str(full.rem_monic_cyclic(phi, d))
+    rem = full.rem_monic_cyclic(phi, d)
+    if rem.is_zero():
+        raise ArithmeticError(
+            f"lemma-23 (a={a}, d={d}, alpha={alpha}, w_{widx}, B index "
+            f"{bidx}): a packed remainder is nonzero but the full "
+            f"difference's remainder is zero; the packed rows or their bound "
+            f"are wrong")
+    return False, str(rem)

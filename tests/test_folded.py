@@ -557,6 +557,74 @@ def test_benchmark_lemma23_grid_decides_each_distinct_equation_once(
     assert all(args[3] == 1 for args in blocks)
 
 
+def test_lemma23_rows_and_columns_live_only_in_the_grid_scope(monkeypatch):
+    # a passing lemma-23 grid decides every equation from its scope's
+    # q-Pascal tables, rows and packed columns: it calls no q_w_poly, and
+    # once the grid is exhausted or closed half read nothing else holds them
+    kinds = ("q-pascal", "lemma-23 w rows", "lemma-23 block",
+             "lemma-23 cols")
+    held, seen = {}, set()
+    entry = STATEMENTS["lemma-23"]
+
+    def runner(p, fault):
+        verdicts = entry.runner(p, fault)
+        for key, value in wpoly._GRID_MEMO.get().items():
+            if key[0] in kinds:
+                seen.add(key[0])
+                held[id(value)] = value
+        return verdicts
+
+    monkeypatch.setitem(STATEMENTS, "lemma-23",
+                        dataclasses.replace(entry, runner=runner))
+    spec = congruence.GridSpec("lemma-23", BENCH_LEMMA23)
+    for half_read in (False, True):
+        held.clear()
+        seen.clear()
+        info = q_w_poly.cache_info()
+        cells = congruence.grid_stream(spec)
+        if half_read:
+            for _ in range(100):
+                assert next(cells).passed
+            cells.close()
+        else:
+            verdicts = list(cells)
+            assert len(verdicts) == 852 and all(v.passed for v in verdicts)
+        assert q_w_poly.cache_info() == info
+        assert seen == set(kinds) and cells.gi_frame is None
+        assert all(gc.get_referrers(value) == [held]
+                   for value in held.values())
+
+
+def test_packed_lemma23_fail_that_the_full_difference_passes_raises():
+    # R(cyclotomic(30), 30) = 12, so the packed bits must cover twelve times
+    # the difference's height.  256 reduced by multiples q^i cyclotomic(30)
+    # mod q^30 - 1 is a row r of height below 64, whose remainder is 256;
+    # with -1 on the next x-slice the remainder is 256 - 256x, which
+    # vanishes at x = 2^8, the bits of that height alone.  w_1 = B_{0,1,30}
+    # holds, so with these rows in the memo the packed remainder must be
+    # nonzero and the full difference's zero, and that raises, also under -O
+    d = 30
+    phi = cyclotomic(d).coeffs
+    shifts = [[sum(phi[j] for j in range(len(phi)) if (i + j) % d == e)
+               for e in range(d)] for i in range(d)]
+    row = [256] + [0] * (d - 1)
+    better = True
+    while better:
+        better = False
+        for step, sign in itertools.product(shifts, (1, -1)):
+            cand = [x + sign * y for x, y in zip(row, step)]
+            if (max(map(abs, cand)), sum(x * x for x in cand)) < (
+                    max(map(abs, row)), sum(x * x for x in row)):
+                row, better = cand, True
+    top = max(map(abs, row))
+    assert top < 64 and polyring._packing_bits(top, d) == 8
+    assert _divmod_monic_lists(row, phi)[1] == [256]
+    memo = {("lemma-23 w rows", 1, 1, d): ([row, [-1] + [0] * (d - 1)], top),
+            ("lemma-23 block", 0, 1, d, 1): ([[0] * d], 0)}
+    with pytest.raises(ArithmeticError, match="packed remainder is nonzero"):
+        wpoly._decide_lemma23(memo, 0, d, 1, 1, 1, 0)
+
+
 def test_patched_b_poly_between_grids_fails_every_equation(monkeypatch):
     spec = congruence.GridSpec(
         "lemma-23", (("a", 0, 1), ("d", 3, 7), ("alpha", 1, 2)))

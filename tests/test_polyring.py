@@ -591,6 +591,70 @@ def test_cyclic_run_power_matches_the_folded_product_chain():
                                         * order ** (alpha - 1)}
 
 
+def _bytearray_pack(coeffs, bits):
+    # the one-entry-at-a-time two's-complement pack that _pack replaced
+    nb = bits >> 3
+    mask = (1 << bits) - 1
+    buf = bytearray(len(coeffs) * nb)
+    neg = None
+    for i, c in enumerate(coeffs):
+        if c:
+            buf[i * nb:(i + 1) * nb] = (c & mask).to_bytes(nb, "little")
+            if c < 0:
+                if neg is None:
+                    neg = bytearray(len(coeffs) * nb + nb)
+                neg[(i + 1) * nb] = 1
+    value = int.from_bytes(bytes(buf), "little")
+    if neg is not None:
+        value -= int.from_bytes(bytes(neg), "little")
+    return value
+
+
+def test_pack_matches_the_bytearray_loop():
+    # seeded signed runs at 8 to 160 bits, zeros and the digit extremes
+    # +-2^(bits-1) included, and all-nonnegative runs, which skip the
+    # indicator
+    rng = random.Random(131)
+    for _ in range(3000):
+        bits = 8 * rng.randint(1, 20)
+        half = 1 << (bits - 1)
+        pool = (0, 0, 1, -1, half, -half, half - 1, -(half - 1))
+        run = [rng.choice(pool) if rng.random() < 0.3
+               else rng.randint(-half, half)
+               for _ in range(rng.randint(0, 40))]
+        if rng.random() < 0.3:
+            run = list(map(abs, run))
+        assert _pack(run, bits) == _bytearray_pack(run, bits), (bits, run)
+
+
+def test_cyclic_run_product_matches_schoolbook():
+    # nonnegative runs of at most order terms at random rotations, against
+    # the fold of their schoolbook product, from 1-bit to 1,300-bit digits
+    rng = random.Random(103)
+    for order in range(1, 17):
+        for _ in range(40):
+            a, b = ([rng.randint(0, 10 ** rng.choice((0, 2, 12, 400)))
+                     for _ in range(rng.randint(1, order))] for _ in "ab")
+            a[rng.randrange(len(a))] += 1
+            b[rng.randrange(len(b))] += 1
+            qmin = rng.randint(-3 * order, 3 * order)
+            want = _fold_cyclic(_schoolbook(a, b), qmin, order)
+            assert polyring._cyclic_run_product(qmin, a, b, order) == want
+    # all-equal runs of full length reach the bound of _product_bits
+    for c in (1, 255, 2 ** 16 - 1):
+        assert polyring._cyclic_run_product(0, [c] * 9, [c] * 9, 9) == \
+            [c * c * 9] * 9
+
+
+def test_cyclic_run_product_with_a_short_bound_raises(monkeypatch):
+    # a carry out of a digit lowers the digit sum below sum(a) sum(b), so
+    # too few bits raise instead of giving a wrong product
+    monkeypatch.setattr(polyring, "_product_bits", lambda a, b: 8)
+    with pytest.raises(ArithmeticError, match="bound is too small"):
+        polyring._cyclic_run_product(0, [200] * 5, [200] * 5, 5)
+    assert polyring._cyclic_run_product(0, [1] * 5, [1] * 5, 5) == [5] * 5
+
+
 def test_fold_of_a_folded_value_is_that_value():
     v = QLaurent.parse("q^2*(1 + x) + q^4*(3*x^2)")
     assert v.fold(5) is v

@@ -170,12 +170,13 @@ def test_q_lucas_rejects_bad_domain():
 
 
 def test_q_pascal_table_matches_the_folded_binomials():
-    # every entry the q-Lucas cells can read, 0 <= k <= n <= 5d - 1, against
-    # the fold of the Gaussian-binomial row; a table grown row by row in a
-    # grid scope equals one built at once outside it
+    # every entry the q-Lucas cells can read, 0 <= k <= n <= 5d - 1, and the
+    # benchmark's lemma-23 grid, n <= 2(3d - 1), up to row 6d, against the
+    # fold of the Gaussian-binomial row; a table grown row by row in a grid
+    # scope equals one built at once outside it
     for d in range(2, 13):
-        rows = _q_pascal_rows(d, 5 * d - 1)
-        assert len(rows) == 5 * d
+        rows = _q_pascal_rows(d, 6 * d)
+        assert len(rows) == 6 * d + 1
         for n, row in enumerate(rows):
             assert [len(e) for e in row] == [d] * (n + 1), (d, n)
             for k, entry in enumerate(row):
@@ -184,7 +185,7 @@ def test_q_pascal_table_matches_the_folded_binomials():
         memo = {}
         token = qobjects._GRID_MEMO.set(memo)
         try:
-            for n in (0, 3, 2, 5 * d - 1):
+            for n in (0, 3, 2, 6 * d):
                 grown = _q_pascal_rows(d, n)
         finally:
             qobjects._GRID_MEMO.reset(token)

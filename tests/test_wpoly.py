@@ -282,6 +282,37 @@ def test_packed_slice_power_with_a_short_bound_raises(monkeypatch):
             q_w_poly(12, 1, order)._slice_power(alpha, order)
 
 
+def test_table_built_w_rows_match_the_folded_q_w_poly():
+    # the rows lemma-23 builds from the folded q-Pascal table, with packed
+    # products and powers, against the fold of the ratio-chain value; one
+    # memo per order holds that order's table and rows, as a grid scope does
+    for d in range(2, 17):
+        memo = {}
+        for k in range(1, 41):
+            for alpha in range(1, 4):
+                rows, top = wpoly._w_rows(memo, k, alpha, d)
+                want = q_w_poly(k, alpha, d)
+                assert len(rows) == k and {len(row) for row in rows} == {d}
+                assert QLaurent([(0, row) for row in rows]) == want, \
+                    (k, alpha, d)
+                assert top == want._max_abs(), (k, alpha, d)
+        assert len(memo["q-pascal", d]) == 2 * 40 + 1
+
+
+def test_lemma23_call_outside_a_grid_keeps_one_q_pascal_table(monkeypatch):
+    # outside a grid the call's own memo holds the q-Pascal table, so each
+    # w index of the call grows the same table instead of building its own
+    tables = []
+    real = wpoly._q_pascal_rows
+    monkeypatch.setattr(wpoly, "_q_pascal_rows", lambda d, n, memo:
+                        tables.append(real(d, n, memo)) or tables[-1])
+    assert wpoly._GRID_MEMO.get() is None
+    verdicts = lemma_congruence_check(2, 3, 8, 2)
+    assert len(verdicts) == 4 and all(v.passed for v in verdicts)
+    assert len(tables) == 2 and tables[0] is tables[1]
+    assert len(tables[0]) == 2 * 20 + 1
+
+
 def test_b_poly_rejects_bad_domain():
     for bad in ((0, 0, 3, 1), (0, 2, 3, 1), (0, 1, 2, 1), (-1, 1, 3, 1),
                 (0, 1, 3, 0)):
