@@ -8,13 +8,15 @@ import random
 import time
 from dataclasses import dataclass, replace
 from functools import cache
-from itertools import chain
-from operator import add, sub
+from itertools import chain, repeat
+from operator import add, mod as modulo, mul, sub
 
-from .intcomb import divisors, lcm_range, rising_factorial, w_identity_suite
+from .intcomb import (divisors, lcm_range, rising_factorial, w_identity_suite,
+                      w_number)
 from .polyring import (DivisionWitness, QLaurent, QPoly, XPoly,
-                       _divmod_monic_lists, _fold_cyclic, _pack_columns,
-                       _packing_bits, _window_slide_cyclic)
+                       _divmod_monic_lists, _fold_cyclic, _indivisible,
+                       _kronecker, _pack_columns, _packing_bits, _trim,
+                       _window_slide_cyclic)
 from .qobjects import (_GRID_MEMO, _q_lucas_remainder, cyclotomic,
                        lemma31_check, q_lucas_check)
 from .verdicts import Verdict
@@ -378,95 +380,147 @@ def _qn_moduli(n):
 _TWO_X_PLUS_ONE = XPoly((1, 2))
 
 
+# series -> (n, its sum over k = 1..n).  Grids run n outermost, so each
+# cell extends the previous n's sum of its series by the new terms instead
+# of summing from k = 1 again; a smaller n starts the series over.  Only the
+# public int_sum_* and *_quotient functions and the conj-54 grids fill it; the
+# other integer grids keep residue sums in their memo scope (_residue_sum).
+_RUNNING_SUMS = {}
+
+
+def _running_sum(table, series, n, step, zero):
+    # the sum of the series over k = 1..n, kept in table: step(acc, k) adds
+    # term k to acc
+    done, acc = table.get(series, (0, zero))
+    if done > n:
+        done, acc = 0, zero
+    for k in range(done + 1, n + 1):
+        acc = step(acc, k)
+    table[series] = (n, acc)
+    return acc
+
+
+def _plain_series(n, alpha, m, r, sign):
+    # sum over k = 1..n of sign^k [k(k+1)]^r (2k+1) w_k^(alpha, m), as
+    # (series key, n, alpha, m, run length, weight of term k)
+    return (("plain", alpha, m, r, sign), n, alpha, m, 1,
+            lambda k: sign ** k * (k * (k + 1)) ** r * (2 * k + 1))
+
+
+def _window_series(n, alpha, beta, m, r):
+    # sum over k = 1..n of [(k)_beta (k+beta+1)_beta]^r (k+beta) times the
+    # product of 2*beta consecutive w powers
+    return (("window", alpha, beta, m, r), n, alpha, m, 2 * beta,
+            lambda k: (rising_factorial(k, beta)
+                       * rising_factorial(k + beta + 1, beta)) ** r
+            * (k + beta))
+
+
+def _int_sum(key, n, alpha, m, count, weight):
+    # the exact XPoly sum of a series, kept process-wide in _RUNNING_SUMS
+    return _running_sum(
+        _RUNNING_SUMS, key, n,
+        lambda acc, k: acc + _wx_run(k, alpha, m, count) * weight(k), XPoly())
+
+
+def _residue_run(k, alpha, m, count, memo, modulus):
+    """_wx_run(k, alpha, m, count) with its coefficients mod modulus, built
+    in the same shape from the runs it splits into, each kept in the memo:
+    a series' r-siblings and neighbouring windows share them."""
+    key = ("int run", k, alpha, m, count)
+    run = memo.get(key)
+    if run is not None:
+        return run
+    if m == count == 1:
+        # w_alpha_poly(k, alpha) mod modulus, coefficient by coefficient
+        run = [pow(w_number(k, j), alpha, modulus) for j in range(1, k + 1)]
+    else:
+        h = _split(m if m > 1 else count)
+        a, b = (((k, alpha, h, count), (k, alpha, m - h, count)) if m > 1
+                else ((k, alpha, 1, h), (k + h, alpha, 1, count - h)))
+        # a square (a == b) is one list, which _kronecker packs once
+        run = list(map(modulo, _kronecker(_residue_run(*a, memo, modulus),
+                                          _residue_run(*b, memo, modulus)),
+                       repeat(modulus)))
+    memo[key] = run
+    return run
+
+
+def _residue_sum(key, n, alpha, m, count, weight, memo, modulus):
+    """(residues, constant) of a series' sum over k = 1..n, kept in the
+    memo: coefficients congruent to the exact sum's mod modulus (each run
+    is reduced, the weighted sum is not), and the exact constant term.
+
+    A run's constant term is the product of its factors' constant terms,
+    each a power of w(j, 1) = 1 (as _run_lowest_term multiplies lowest
+    terms), so the sum's constant term is the sum of the weights."""
+    def step(acc, k):
+        res, low = acc
+        c = weight(k)
+        term = list(map(mul, _residue_run(k, alpha, m, count, memo, modulus),
+                        repeat(c)))
+        return (list(map(add, res, term))
+                + (term[len(res):] or res[len(term):]), low + c)
+    return _running_sum(memo, ("int sum", key), n, step, ([], 0))
+
+
 def _triple(n):
     return n * (n + 1) * (n + 2)
 
 
-# series -> (n, its sum over k = 1..n).  Grids run n outermost, so each
-# cell extends the previous n's sum of its series by the new terms instead
-# of summing from k = 1 again; a smaller n starts the series over.
-_RUNNING_SUMS = {}
+def _by_triple(p):
+    # gcd(2, n) times the sum by n(n+1)(n+2)
+    return math.gcd(2, p["n"]), _triple(p["n"]), 0
 
 
-def _running_sum(series, n, term):
-    done, acc = _RUNNING_SUMS.get(series, (0, XPoly()))
-    if done > n:
-        done, acc = 0, XPoly()
-    for k in range(done + 1, n + 1):
-        acc = acc + term(k)
-    _RUNNING_SUMS[series] = (n, acc)
-    return acc
-
-
-def _plain_sum(n, alpha, m, r, sign):
-    # sum over k = 1..n of sign^k [k(k+1)]^r (2k+1) w_k^(alpha, m)
-    return _running_sum(
-        ("plain", alpha, m, r, sign), n,
-        lambda k: _wx_power(k, alpha, m)
-        * (sign ** k * (k * (k + 1)) ** r * (2 * k + 1)))
-
-
-def _window_sum(n, alpha, beta, m, r):
-    # sum over k = 1..n of [(k)_beta (k+beta+1)_beta]^r (k+beta) times the
-    # product of 2*beta consecutive w powers
-    return _running_sum(
-        ("window", alpha, beta, m, r), n,
-        lambda k: _wx_run(k, alpha, m, 2 * beta)
-        * (rising_factorial(k, beta) ** r
-           * rising_factorial(k + beta + 1, beta) ** r * (k + beta)))
-
-
-def _by_triple(acc, p):
-    # gcd(2,n) times the sum, divided by n(n+1)(n+2)
-    return (acc * math.gcd(2, p["n"])).divexact(_triple(p["n"]))
-
-
-def _by_two_x_plus_one(acc, power, n):
-    # divide by (2x+1)^power, then 2*gcd(2,n) times that by n(n+1)(n+2)
-    quot = acc.divexact(_TWO_X_PLUS_ONE ** power)
-    if isinstance(quot, DivisionWitness):
-        return quot
-    return (quot * (2 * math.gcd(2, n))).divexact(_triple(n))
-
-
-# integer-side statement -> (its XPoly sum, the exact division that decides
-# it); both take the cell's parameters
+# integer-side statement -> (the cell's series, (g, t, power)): the
+# statement says that g times the series' sum over k = 1..n, divided exactly
+# by (2x+1)^power, is divisible by the integer t; both take the cell's
+# parameters
 _DIVISIONS = {
-    "thm-int-plain": (lambda p: _plain_sum(sign=1, **p), _by_triple),
-    "thm-int-alternating": (lambda p: _plain_sum(sign=-1, **p), _by_triple),
+    "thm-int-plain": (lambda p: _plain_series(sign=1, **p), _by_triple),
+    "thm-int-alternating": (lambda p: _plain_series(sign=-1, **p),
+                            _by_triple),
     "thm-int-lcm": (
-        lambda p: _window_sum(**p),
-        lambda acc, p: (acc * 2).divexact(
-            lcm_range(p["n"], p["n"] + 2 * p["beta"] + 1))),
-    "conj-52-even": (
-        lambda p: _plain_sum(r=1, sign=-1, **p),
-        lambda acc, p: acc.divexact(_triple(p["n"]))),
+        lambda p: _window_series(**p),
+        lambda p: (2, lcm_range(p["n"], p["n"] + 2 * p["beta"] + 1), 0)),
+    "conj-52-even": (lambda p: _plain_series(r=1, sign=-1, **p),
+                     lambda p: (1, _triple(p["n"]), 0)),
     # conj-54 sums the neighbour products k(k+1)(k+2) (w_k w_(k+1))^m
     "conj-54-ii": (
-        lambda p: _window_sum(alpha=1, beta=1, r=1, **p),
-        lambda acc, p: _by_two_x_plus_one(acc, p["m"], p["n"])),
+        lambda p: _window_series(alpha=1, beta=1, r=1, **p),
+        lambda p: (2 * math.gcd(2, p["n"]), _triple(p["n"]), p["m"])),
     "conj-54-iii": (
-        lambda p: _window_sum(alpha=1, beta=1, m=1, r=1, **p),
-        lambda acc, p: _by_two_x_plus_one(acc, 3, p["n"])),
+        lambda p: _window_series(alpha=1, beta=1, m=1, r=1, **p),
+        lambda p: (2 * math.gcd(2, p["n"]), _triple(p["n"]), 3)),
 }
 
 
 def _divide(statement, params, fault):
     """Exact quotient of an integer-side statement's sum, or the obstruction
     witness; fault adds one to the sum first."""
-    build, divide = _DIVISIONS[statement]
-    acc = build(params)
+    series, division = _DIVISIONS[statement]
+    acc = _int_sum(*series(params))
     if fault:
         acc = acc + 1
-    return divide(acc, params)
+    g, t, power = division(params)
+    if power:
+        acc = acc.divexact(_TWO_X_PLUS_ONE ** power)
+        if isinstance(acc, DivisionWitness):
+            return acc
+    return (acc * g).divexact(t)
 
 
-def _division_verdict(statement, params, fault=False):
-    quot = _divide(statement, params, fault)
+def _int_verdict(statement, params, quot):
     failed = isinstance(quot, DivisionWitness)
     status = "conjecture-empirical" if statement.startswith("conj-") else None
     return Verdict(statement, params, not failed,
                    str(quot) if failed else None, status=status)
+
+
+def _division_verdict(statement, params, fault=False):
+    return _int_verdict(statement, params,
+                        _divide(statement, params, fault))
 
 
 _INT_PLAIN_IDS = {"plus": "thm-int-plain",
@@ -616,6 +670,55 @@ def _division_runner(statement):
     return lambda p, fault: [_division_verdict(statement, p, fault)]
 
 
+def _grid_modulus(statement, cells):
+    # M for _residue_runner: the lcm of the divisor t of every cell
+    division = _DIVISIONS[statement][1]
+    return math.lcm(*{division(p)[1] for p in cells})
+
+
+def _residue_runner(statement):
+    """Cell runner of an integer-side statement whose divisor is the integer
+    t (power 0 in _DIVISIONS): decide g times the sum, plus one under a
+    fault, on its coefficients mod M, the lcm of every cell's t in the grid
+    (memo key ("int modulus",), set by _run_cells).
+
+    Z -> Z/M -> Z/t is a ring map for t dividing M, and g c = 0 mod t iff
+    c = 0 mod t/gcd(g, t), so the residues give the exact verdict and the
+    degree of the top indivisible coefficient, the witness.  At degree 0,
+    where a fault's +1 lands, that coefficient is g times the exact constant
+    term (_residue_sum).  Above it the cell takes the exact path (_divide);
+    if that passes, or fails at another degree, the residues were wrong, and
+    this raises.  Outside a grid the exact path decides.
+    """
+    series, division = _DIVISIONS[statement]
+
+    def run(p, fault):
+        memo = _GRID_MEMO.get()
+        modulus = None if memo is None else memo.get(("int modulus",))
+        if modulus is None:
+            return [_division_verdict(statement, p, fault)]
+        g, t, _ = division(p)
+        res, low = _residue_sum(*series(p), memo, modulus)
+        if (res[0] - low) % modulus:
+            raise ArithmeticError(
+                f"{statement} {p}: the residue sum's constant term is not "
+                f"the sum of the weights")
+        step = t // math.gcd(g, t)
+        if any(map(modulo, res[1:], repeat(step))):
+            top = len(_trim(list(map(modulo, res, repeat(step))))) - 1
+            quot = _divide(statement, p, fault)
+            if not isinstance(quot, DivisionWitness) or quot.degree != top:
+                raise ArithmeticError(
+                    f"{statement} {p}: the residues mod {modulus} fail at "
+                    f"degree {top}, the exact sum gives {quot}")
+        elif (low + fault) % step:
+            quot = _indivisible(g * (low + fault), 0, t)
+        else:
+            quot = None
+        return [_int_verdict(statement, p, quot)]
+    return run
+
+
 def _run_lemma23(p, fault):
     return lemma_congruence_check(p["a"], p["b"], p["d"], p["alpha"])
 
@@ -653,6 +756,7 @@ class _Statement:
     fault_ok: bool = True
     cell_filter: object = None
     sampled: bool = False
+    residues: bool = False      # decided by _residue_runner
 
 
 def _lemma23_valid(p):
@@ -694,14 +798,14 @@ STATEMENTS = {
                      _general_summands,
                      lambda *args: verify_divisible_by_qn(*args),
                      _qn_moduli)),
-    "thm-int-plain": _Statement(_INT_PARAMS,
-                                _division_runner("thm-int-plain")),
+    "thm-int-plain": _Statement(
+        _INT_PARAMS, _residue_runner("thm-int-plain"), residues=True),
     "thm-int-alternating": _Statement(
-        _INT_PARAMS, _division_runner("thm-int-alternating")),
+        _INT_PARAMS, _residue_runner("thm-int-alternating"), residues=True),
     "thm-int-lcm": _Statement(
         (("n", 1, None), ("alpha", 1, (1, 1)), ("beta", 1, (1, 1)),
          ("m", 1, (1, 1)), ("r", 1, (1, 1))),
-        _division_runner("thm-int-lcm")),
+        _residue_runner("thm-int-lcm"), residues=True),
     "lemma-23": _Statement(
         (("a", 0, (0, 3)), ("b", 0, (0, 8)), ("d", 3, (3, 10)),
          ("alpha", 1, (1, 2))),
@@ -717,8 +821,8 @@ STATEMENTS = {
         cell_filter=lambda p: p["m"] <= p["n"]),
     "conj-52-even": _Statement(
         (("n", 1, None), ("alpha", 2, (2, 2)), ("m", 1, (1, 1))),
-        _division_runner("conj-52-even"),
-        cell_filter=lambda p: p["n"] % 2 == 0),
+        _residue_runner("conj-52-even"),
+        cell_filter=lambda p: p["n"] % 2 == 0, residues=True),
     "conj-54-ii": _Statement(
         (("n", 1, None), ("m", 1, (1, 1))),
         _division_runner("conj-54-ii")),
@@ -772,19 +876,31 @@ def _enumerate_cells(spec, schema):
     return cells
 
 
+def _randint(bits, lo, hi):
+    # random.Random.randint(lo, hi) of the generator whose getrandbits is
+    # bits, drawing exactly what it draws: getrandbits of the width's bit
+    # length, again while the draw is not below the width
+    width = hi - lo + 1
+    k = width.bit_length()
+    r = bits(k)
+    while r >= width:
+        r = bits(k)
+    return lo + r
+
+
 def _sampled_cells(bounds, count, seed):
     # count q-Lucas cells drawn from one seeded generator, each as it is
     # needed, so memory and the time to the first cell do not grow with count
-    rng = random.Random(seed)
+    bits = random.Random(seed).getrandbits
     for _ in range(count):
-        d = rng.randint(*bounds["d"])
-        a = rng.randint(*bounds["a"])
+        d = _randint(bits, *bounds["d"])
+        a = _randint(bits, *bounds["a"])
         yield {
             "d": d,
             "a": a,
-            "b": rng.randint(0, d - 1),
-            "s": rng.randint(0, a + 1),
-            "t": rng.randint(0, d - 1),
+            "b": _randint(bits, 0, d - 1),
+            "s": _randint(bits, 0, a + 1),
+            "t": _randint(bits, 0, d - 1),
         }
 
 
@@ -816,8 +932,11 @@ def grid_stream(spec):
 def _run_cells(schema, cells, spec):
     # The grid's memo scope (qobjects._GRID_MEMO): made at the first cell, set
     # only while a cell runs, and dropped with this generator's frame when
-    # the grid ends or the generator is closed.
+    # the grid ends or the generator is closed.  A grid of _residue_runner
+    # cells starts it with M, the lcm of every cell's divisor.
     memo = {}
+    if schema.residues:
+        memo[("int modulus",)] = _grid_modulus(spec.statement, cells)
     for params in cells:
         t0 = time.perf_counter_ns()
         token = _GRID_MEMO.set(memo)

@@ -1,11 +1,14 @@
+import gc
 import math
 import random
+import re
 import tracemalloc
 from dataclasses import replace
 
 import pytest
 
-from wpolys import congruence
+from wpolys import congruence, qobjects
+from wpolys.cli import _json_line
 from wpolys.congruence import (
     GridError,
     GridSpec,
@@ -512,3 +515,208 @@ def test_faulted_qsum_witnesses_parse_back_to_the_runner_remainder(
     for v, rem in zip(verdicts, remainders):
         assert not v.passed and not rem.is_zero()
         assert QLaurent.parse(v.witness) == rem
+
+
+def test_randint_draw_matches_random_randint():
+    # the sampler's draw takes the same bits as Random.randint, width-1
+    # ranges included (randint draws one bit for them, and redraws a 1), so
+    # the values and the generator's state after them agree
+    bounds = [(0, 0), (5, 5), (-3, -3), (0, 1), (2, 12), (0, 4), (-7, 9),
+              (1, 2), (3, 1000), (0, 2 ** 40), (10 ** 30, 10 ** 30 + 3)]
+    for seed in (0, 1, 7, 2025, 2 ** 64 + 5):
+        picker = random.Random(-seed)
+        picks = [picker.choice(bounds) for _ in range(4000)]
+        draw, ref = random.Random(seed), random.Random(seed)
+        got = [congruence._randint(draw.getrandbits, lo, hi)
+               for lo, hi in picks]
+        assert got == [ref.randint(lo, hi) for lo, hi in picks]
+        assert draw.getstate() == ref.getstate()
+
+
+# the integer statements that _residue_runner decides
+RESIDUE_STATEMENTS = ("thm-int-plain", "thm-int-alternating", "thm-int-lcm",
+                      "conj-52-even")
+
+
+def _random_int_ranges(rng, statement):
+    # one or two cells often have a prime of M that no other cell has
+    lo = rng.randint(1, 14)
+    if statement == "conj-52-even":
+        lo += lo % 2    # conj-52's cells have even n
+    ranges = [("n", lo, lo + rng.choice((0, 1, 2, 5, 9)))]
+    if statement == "conj-52-even":
+        return ranges + [("alpha", 2, rng.randint(2, 3)),
+                         ("m", 1, rng.randint(1, 2))]
+    ranges += [("alpha", 1, rng.randint(1, 2))]
+    if statement == "thm-int-lcm":
+        ranges += [("beta", 1, 2)]
+    return ranges + [("m", 1, rng.randint(1, 2)), ("r", 1, rng.randint(1, 2))]
+
+
+def _degree(witness):
+    return int(re.match(r"\w+ obstruction at degree (\d+):", witness)[1])
+
+
+def test_residue_grids_match_the_exact_division_byte_for_byte():
+    # seeded grids of every residue statement, faulted and unfaulted, both
+    # signs and beta <= 2: each report line equals the exact path's.  In
+    # the first grid the cells at the first n alone have the prime 5 of M,
+    # and their w-powers exceed the M of the other cells, so an M without
+    # that prime fails on their residues
+    rng = random.Random(20)
+    for statement in RESIDUE_STATEMENTS:
+        first = ((("n", 4, 6), ("alpha", 2, 3), ("m", 1, 2))
+                 if statement == "conj-52-even"
+                 else (("n", 5, 6), ("alpha", 1, 3), ("m", 1, 2)))
+        for fault in (False, True):
+            grids = [first] + [tuple(_random_int_ranges(rng, statement))
+                               for _ in range(4)]
+            for ranges in grids:
+                spec = GridSpec(statement, ranges, inject_fault=fault)
+                verdicts = grid_verify(spec)
+                assert verdicts
+                for v in verdicts:
+                    want = congruence._division_verdict(statement, v.params,
+                                                        fault)
+                    assert _json_line(v) == _json_line(want), (spec, v)
+                    assert v.passed is not fault
+                    if fault:
+                        assert _degree(v.witness) == 0
+
+
+def test_residue_cell_failing_above_degree_zero_takes_the_exact_path(
+        monkeypatch):
+    # with t = 10007 n(n+1)(n+2) the top coefficients fail; such a cell's
+    # witness comes from _divide, and only such cells call it
+    monkeypatch.setattr(congruence, "_triple",
+                        lambda n: 10007 * n * (n + 1) * (n + 2))
+    calls = []
+    divide = congruence._divide
+
+    def spy(statement, params, fault):
+        calls.append(dict(params))
+        return divide(statement, params, fault)
+
+    for statement in ("thm-int-plain", "thm-int-alternating",
+                      "conj-52-even"):
+        ranges = (("n", 1, 8), ("alpha", 2, 2)) + (
+            () if statement == "conj-52-even" else (("r", 1, 2),))
+        for fault in (False, True):
+            monkeypatch.setattr(congruence, "_divide", spy)
+            del calls[:]
+            verdicts = grid_verify(GridSpec(statement, ranges,
+                                            inject_fault=fault))
+            monkeypatch.setattr(congruence, "_divide", divide)
+            high = [v.params for v in verdicts
+                    if not v.passed and _degree(v.witness) > 0]
+            assert high and calls == high, (statement, fault)
+            for v in verdicts:
+                want = congruence._division_verdict(statement, v.params,
+                                                    fault)
+                assert _json_line(v) == _json_line(want)
+
+
+def _rerun(statement, p, fault, memo):
+    # run one cell with memo as its grid scope
+    token = qobjects._GRID_MEMO.set(memo)
+    try:
+        return STATEMENTS[statement].runner(p, fault)
+    finally:
+        qobjects._GRID_MEMO.reset(token)
+
+
+def _one_cell_scope(statement, p, fault):
+    # run one cell in a fresh scope holding its own modulus; return the
+    # verdicts and the scope
+    memo = {("int modulus",): congruence._grid_modulus(statement, [p])}
+    return _rerun(statement, p, fault, memo), memo
+
+
+def test_residue_failures_that_the_exact_path_passes_raise():
+    # crafted residue sums in the scope: a nonzero residue above degree 0
+    # that the exact sum does not have, one that moves a faulted cell's
+    # witness off degree 0, and a constant term that disagrees with the sum
+    # of the weights; each raises, also under python -O
+    for statement, p in (
+            ("thm-int-plain", {"n": 5, "alpha": 2, "m": 2, "r": 1}),
+            ("thm-int-lcm", {"n": 4, "alpha": 1, "beta": 2, "m": 1,
+                             "r": 2}),
+            ("conj-52-even", {"n": 6, "alpha": 2, "m": 1})):
+        for fault, index, delta in ((False, 1, 1), (True, 2, 1),
+                                    (False, 0, 1)):
+            verdicts, memo = _one_cell_scope(statement, p, fault)
+            assert verdicts == [congruence._division_verdict(
+                statement, p, fault)]
+            [key] = [key for key in memo if key[0] == "int sum"]
+            n, (res, low) = memo[key]
+            res = list(res)
+            res[index] += delta
+            memo[key] = n, (res, low)
+            with pytest.raises(ArithmeticError):
+                _rerun(statement, p, fault, memo)
+
+
+def test_residue_runner_restarts_its_series_when_n_falls():
+    # one scope over n ascending, descending and repeated: each series'
+    # residue sum extends, starts over, or is reused, and every verdict is
+    # the exact path's; outside a grid the runner takes the exact path
+    ns = (*range(1, 9), *range(9, 0, -1), 3, 3, 5, 5, 2, 2, 6, 1, 1)
+    for statement in RESIDUE_STATEMENTS:
+        base = {"alpha": 2, "m": 2}
+        if statement == "thm-int-lcm":
+            base.update(beta=2, r=1)
+        elif statement != "conj-52-even":
+            base["r"] = 2
+        cells = [dict(n=n, **base) for n in ns
+                 if statement != "conj-52-even" or n % 2 == 0]
+        memo = {("int modulus",): congruence._grid_modulus(statement, cells)}
+        for fault in (False, True):
+            for p in cells:
+                want = congruence._division_verdict(statement, p, fault)
+                assert _rerun(statement, p, fault, memo) == [want], p
+                assert STATEMENTS[statement].runner(p, fault) == [want]
+
+
+def test_faulted_int_grid_lives_only_in_the_grid_scope(monkeypatch):
+    # every witness of a faulted thm-int-plain grid is at degree 0, so the
+    # grid builds no exact sum: the process-wide w-power, w-run and running
+    # sum tables are untouched, and once the grid is exhausted or closed
+    # partway nothing else holds its residue runs and sums
+    kinds = ("int run", "int sum")
+    held, seen = {}, set()
+    entry = STATEMENTS["thm-int-plain"]
+
+    def runner(p, fault):
+        verdicts = entry.runner(p, fault)
+        for key, value in qobjects._GRID_MEMO.get().items():
+            if key[0] in kinds:
+                seen.add(key[0])
+                held[id(value)] = value
+        return verdicts
+
+    monkeypatch.setitem(STATEMENTS, "thm-int-plain",
+                        replace(entry, runner=runner))
+    spec = GridSpec("thm-int-plain", (("n", 1, 24), ("alpha", 1, 2),
+                                      ("m", 1, 3), ("r", 1, 2)),
+                    inject_fault=True)
+    for half_read in (False, True):
+        held.clear()
+        seen.clear()
+        infos = (congruence._wx_power.cache_info(),
+                 congruence._wx_run.cache_info())
+        sums = dict(congruence._RUNNING_SUMS)
+        cells = congruence.grid_stream(spec)
+        if half_read:
+            for _ in range(100):
+                assert _degree(next(cells).witness) == 0
+            cells.close()
+        else:
+            verdicts = list(cells)
+            assert len(verdicts) == 288
+            assert all(_degree(v.witness) == 0 for v in verdicts)
+        assert (congruence._wx_power.cache_info(),
+                congruence._wx_run.cache_info()) == infos
+        assert congruence._RUNNING_SUMS == sums
+        assert seen == set(kinds) and cells.gi_frame is None
+        assert all(gc.get_referrers(value) == [held]
+                   for value in held.values())
