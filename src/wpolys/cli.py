@@ -5,8 +5,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
+import select
 import sys
+import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .congruence import (STATEMENTS, GridError, GridSpec, grid_stream,
                          grid_verify)
@@ -119,6 +123,19 @@ def _text_line(v):
 
 _encode = json.encoder.encode_basestring_ascii
 
+# emit_report's batch gap: a verdict that arrives this long or longer after
+# the last write goes out at once, with the lines held back before it
+_BATCH_GAP_S = 0.001
+
+
+@lru_cache(maxsize=None)
+def _json_head(statement, names):
+    # a report line's text up to its params' close, as a %-template of the
+    # params' int values
+    params = ", ".join(_encode(k).replace("%", "%%") + ": %d" for k in names)
+    return (f'{{"statement": {_encode(statement).replace("%", "%%")}, '
+            f'"params": {{{params}}}, ')
+
 
 def _json_line(v):
     """json.dumps(v.to_json()), written out directly when the params are all
@@ -126,13 +143,11 @@ def _json_line(v):
     if (type(v.passed) is bool and type(v.elapsed_ms) is int
             and {*map(type, v.params.values())} <= {int}):
         try:
-            params = ", ".join([f"{_encode(k)}: {x}"
-                                for k, x in v.params.items()])
+            head = _json_head(v.statement, tuple(v.params))
             witness = "null" if v.witness is None else _encode(v.witness)
             status = ("" if v.status is None
                       else f', "status": {_encode(v.status)}')
-            return (f'{{"statement": {_encode(v.statement)}, '
-                    f'"params": {{{params}}}, '
+            return (f'{head % tuple(v.params.values())}'
                     f'"pass": {"true" if v.passed else "false"}, '
                     f'"witness": {witness}, '
                     f'"elapsed_ms": {v.elapsed_ms}{status}}}')
@@ -142,17 +157,50 @@ def _json_line(v):
 
 
 def emit_report(verdicts, sink, fmt="jsonl"):
-    """Write and flush a line per verdict as it arrives, in format fmt, then
-    the summary; return whether all passed.  A run that stops early leaves
-    a valid prefix of its report: every line but the summary."""
+    """Write a line per verdict in format fmt, then the summary; return
+    whether all passed.
+
+    Verdict lines go out in whole-line batches, one write and one flush
+    each: the first verdict at once; after that, a batch whenever a verdict
+    arrives 1 ms (_BATCH_GAP_S) or more after the last write, before a line
+    that would take the batch past select.PIPE_BUF encoded bytes (so that a
+    batch is one atomic write to a pipe, unless one line is longer), and
+    when the verdicts end or raise.  A verdict decided less than 1 ms after
+    the last write therefore waits for the next verdict or for the end of
+    the run.  A run that stops early leaves a valid prefix of its report:
+    whole verdict lines, without the summary.
+    """
     text = fmt == "text"
     line = _text_line if text else _json_line
-    total = passed = 0
-    for v in verdicts:
-        sink.write(line(v) + "\n")
+    clock = time.perf_counter
+    total = passed = size = 0
+    batch = []
+    last = -math.inf
+
+    def write():
+        nonlocal size, last
+        sink.write("".join(batch))
         sink.flush()
-        total += 1
-        passed += v.passed
+        batch.clear()
+        size = 0
+        last = clock()
+
+    try:
+        for v in verdicts:
+            now = clock()
+            out = line(v) + "\n"
+            nbytes = len(out) if out.isascii() else len(out.encode())
+            if size + nbytes > select.PIPE_BUF and batch:
+                write()
+            batch.append(out)
+            size += nbytes
+            if now - last >= _BATCH_GAP_S:
+                write()
+            total += 1
+            passed += v.passed
+    finally:
+        if batch:
+            write()
     counts = {"total": total, "passed": passed, "failed": total - passed}
     sink.write((" ".join(f"{k}={n}" for k, n in counts.items()) if text
                 else json.dumps({"summary": counts})) + "\n")

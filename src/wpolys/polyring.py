@@ -47,7 +47,7 @@ import re
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, repeat, zip_longest
+from itertools import accumulate, chain, repeat, zip_longest
 from operator import add, and_, floordiv, lshift, mod as modulo, neg, sub
 
 # Schoolbook up to this many coefficient products.  Timed on the flat
@@ -275,12 +275,11 @@ def _window_slide(run, n, stride=1):
     prefix sums give the product in linear time instead of a convolution.
     """
     if stride == 1:
+        # entry i is pref[i] - pref[i - n], where pref, the prefix sums,
+        # stays at the total past the run and counts as 0 below index 0
         pref = list(accumulate(run))
-        w = len(run)
-        total = pref[-1]
-        return [(pref[i] if i < w else total)
-                - (pref[i - n] if i >= n else 0)
-                for i in range(w + n - 1)]
+        pref += repeat(pref[-1], n - 1)
+        return list(map(sub, pref, chain(repeat(0, n), pref)))
     out = [0] * (len(run) + stride * (n - 1))
     for res in range(min(stride, len(run))):
         out[res::stride] = _window_slide(run[res::stride], n)
@@ -672,6 +671,7 @@ class _DensePoly:
         return self.coeffs[e] if 0 <= e < len(self.coeffs) else 0
 
     def evaluate(self, v0):
+        """Value at v0 by Horner's rule; only tests call it, as an oracle."""
         acc = 0
         for c in reversed(self.coeffs):
             acc = acc * v0 + c
@@ -956,7 +956,10 @@ class QLaurent:
         return self._map(lambda qmin, cs: (qmin + e, cs))
 
     def mul_qpoly(self, p):
-        """Multiply by a QPoly without lifting it to a QLaurent."""
+        """Multiply by a QPoly without lifting it to a QLaurent.
+
+        Only tests call it, as the oracle for mul_qint_power.
+        """
         return self._map(lambda qmin, cs: (qmin, _convolve(cs, p.coeffs)))
 
     def mul_qint_power(self, n, r=1, stride=1, order=None):
@@ -1064,6 +1067,7 @@ class QLaurent:
         """Evaluate at integer x and rational q = q0_num/q0_den.
 
         Returns (numerator, denominator) as an exact fraction, unreduced.
+        Only tests call it, as an oracle for products, q -> q^2 and q = 1.
         """
         if q0_den == 0:
             raise ValueError("q denominator must be nonzero")

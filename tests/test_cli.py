@@ -3,10 +3,12 @@ import io
 import itertools
 import json
 import os
+import select
 import signal
 import subprocess
 import sys
 import tempfile
+import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -284,23 +286,65 @@ def _report_lines(path):
 
 @pytest.mark.parametrize("fmt", ["jsonl", "text"])
 def test_verify_writes_each_verdict_before_the_next_cell(monkeypatch, fmt):
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "report")
-        seen = []
+    # the first verdict is written at once; a later one waits only while it
+    # arrives less than 1 ms after the last write
+    for pause, want in ((0.0, [0, 1]), (0.002, [0, 1, 2])):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "report")
+            seen = []
 
-        def runner(params, fault):
-            seen.append(_report_lines(path))
-            return [Verdict("thm-qsum-plain", params, True)]
+            def runner(params, fault):
+                seen.append(_report_lines(path))
+                time.sleep(pause)
+                return [Verdict("thm-qsum-plain", params, True)]
 
-        _install_runner(monkeypatch, runner)
-        code = main(["verify", "thm-qsum-plain", "--n", "2..4",
-                     "--format", fmt, "--output", path])
-        assert code == 0
-        # the file on disk, read from inside the next cell's runner
-        assert [len(lines) for lines in seen] == [0, 1, 2]
-        assert _parse_report_line(seen[1][0], fmt) == (
-            True, {"n": 2, "alpha": 1, "m": 1, "r": 1})
-        assert len(_report_lines(path)) == 4
+            _install_runner(monkeypatch, runner)
+            code = main(["verify", "thm-qsum-plain", "--n", "2..4",
+                         "--format", fmt, "--output", path])
+            assert code == 0
+            # the file on disk, read from inside the next cell's runner
+            assert [len(lines) for lines in seen][:len(want)] == want
+            assert _parse_report_line(seen[1][0], fmt) == (
+                True, {"n": 2, "alpha": 1, "m": 1, "r": 1})
+            assert len(_report_lines(path)) == 4
+
+
+class _RecordingSink:
+    def __init__(self):
+        self.events = []
+
+    def write(self, text):
+        self.events.append(text)
+
+    def flush(self):
+        self.events.append(None)
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "text"])
+def test_report_is_written_in_whole_line_batches(fmt):
+    witnesses = ["Φ₆ = 1 - q + q², é \U0001d4e0 " * (i % 40 + 1)
+                 for i in range(400)]
+    witnesses[150] = "Φ" * select.PIPE_BUF      # one line longer than a batch
+    verdicts = [Verdict("lemma-23", {"a": 0, "b": i, "d": 7}, False, witness)
+                for i, witness in enumerate(witnesses)]
+    sink = _RecordingSink()
+    assert not emit_report(iter(verdicts), sink, fmt)
+    # one flush after each write but the summary's
+    *writes, summary = sink.events[::2]
+    assert sink.events[1::2] == [None] * len(writes)
+    assert 10 < len(writes) < len(verdicts)
+    for text in writes:
+        assert text.endswith("\n")
+        assert (len(text.encode()) <= select.PIPE_BUF
+                or text.count("\n") == 1), len(text.encode())
+    line = cli._text_line if fmt == "text" else (
+        lambda v: json.dumps(v.to_json()))
+    lines = [line(v) + "\n" for v in verdicts]
+    assert writes[0] == lines[0]
+    assert "".join(writes) == "".join(lines)
+    assert summary == ("total=400 passed=0 failed=400\n" if fmt == "text"
+                       else '{"summary": {"total": 400, "passed": 0, '
+                            '"failed": 400}}\n')
 
 
 @pytest.mark.parametrize("fmt", ["jsonl", "text"])
@@ -368,6 +412,13 @@ def test_report_line_encoder_matches_json_dumps():
     verdicts.append(Verdict("thm-int-plain", {"n": 1}, 1, None))
     for v in verdicts:
         assert cli._json_line(v) == json.dumps(v.to_json()), v
+
+
+def test_report_line_head_keeps_percent_signs():
+    # the cached line head is a %-template of the param values
+    for v in 2 * [Verdict("50% plain", {"n%": 3, "%d": -4}, True),
+                  Verdict("%s%%", {}, False, "(1)")]:
+        assert cli._json_line(v) == json.dumps(v.to_json())
 
 
 def test_timed_report_lines_are_the_json_encoding():
