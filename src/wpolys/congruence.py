@@ -226,22 +226,58 @@ def _packed_columns(summands, order, moduli=()):
     commute with it.  A cyclic window [M] makes each output the sum of
     exactly M inputs, so every coefficient of the sum is at most bound =
     the sum over the summands of maxabs(w-run) * prod M^r, which
-    _packing_bits turns into bits.
+    _packing_bits turns into bits, here rounded up to whole 64-bit words:
+    the bounds of r-siblings differ by a factor of at most the largest
+    first-weight M, so they mostly share a width, and with it each summand's
+    windowed columns (_windowed_columns).  In test_folded.py,
+    test_qsum_cells_in_one_scope_match_a_fresh_scope_per_cell and
+    test_packed_columns_in_one_scope_match_a_fresh_scope check that sharing
+    against a fresh scope per call,
+    test_r_sibling_at_the_same_width_packs_no_summand pins it, and
+    test_packed_rows_live_only_in_the_grid_scope keeps it in the grid.
     """
     bases = [_base_rows(t, order) for t in summands]
     bound = sum(top * math.prod(n ** r for n, r, _ in t.weights)
                 for t, (_, top) in zip(summands, bases))
-    bits = _packing_bits(bound, order, moduli)
+    bits = (_packing_bits(bound, order, moduli) + 63) & ~63
     acc = [0] * order
     for t, (rows, _) in zip(summands, bases):
-        cols = _pack_columns(rows or [[0] * order], bits)
-        for n, r, stride in t.weights:
-            cols = _window_slide_cyclic(cols, n, stride, order, r)
+        cols = _windowed_columns(t, rows, bits, order)
         turn = order - t.shift % order
         acc = list(map(sub if t.negative else add, acc,
                        cols[turn:] + cols[:turn]))
     depth = max((len(rows) for rows, _ in bases), default=1)
     return acc, bits, depth
+
+
+def _windowed_columns(t, rows, bits, order):
+    """The summand's packed q-columns at bits times its weights, before its
+    q-shift and sign.  Every summand table puts the r-carrying weight first.
+
+    Inside a grid the scope keeps one entry per summand without its shift,
+    sign and r: (bits, r_done, cols), cols after the other weights and
+    r_done passes of the first.  A summand at the same bits with r >= r_done
+    runs only the r - r_done missing passes; any other packs afresh.  Either
+    way it overwrites the entry.  The windows are exact multiplications in
+    the commutative ring Z[x][q]/(q^order - 1), so their order does not
+    change the columns."""
+    memo = _GRID_MEMO.get()
+    (first, r, stride), *others = t.weights
+    key = ("windowed cols", t.k, t.count, t.alpha, t.m, t.doubled, order,
+           tuple(others), first, stride)
+    entry = None if memo is None else memo.get(key)
+    if entry is not None and entry[0] == bits and entry[1] <= r:
+        _, done, cols = entry
+    else:
+        cols = _pack_columns(rows or [[0] * order], bits)
+        for n, e, s in others:
+            cols = _window_slide_cyclic(cols, n, s, order, e)
+        done = 0
+    if r > done:
+        cols = _window_slide_cyclic(cols, first, stride, order, r - done)
+    if memo is not None:
+        memo[key] = bits, r, cols
+    return cols
 
 
 def _base_rows(t, order):

@@ -1191,7 +1191,7 @@ class QLaurent:
         return cls.sum(cls.from_xpoly(p).shift_q(e) for e, p in terms.items())
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _divides_q_power_minus_one(mod_coeffs, order):
     target = QPoly([-1] + [0] * (order - 1) + [1])
     return not isinstance(target.divexact(QPoly(mod_coeffs)), DivisionWitness)

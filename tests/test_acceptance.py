@@ -67,10 +67,12 @@ def test_criterion_2_alternating_sum_cyclotomic_product():
 
 def test_criterion_3_product_and_window_sums_mod_qn():
     _clear_heavy_caches()
-    for n in range(2, 17):
-        for a in (1, 2):
-            for m in (1, 2):
-                for r in (1, 2):
+    # n innermost, as in the window block, so that each full value extends
+    # the last one of its series instead of starting over
+    for a in (1, 2):
+        for m in (1, 2):
+            for r in (1, 2):
+                for n in range(2, 17):
                     v = verify_divisible_by_qn(qsum_product(n, a, m, r), n)
                     assert v.passed, (
                         f"product sum fails at n={n} alpha={a} m={m} r={r}")

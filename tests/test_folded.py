@@ -234,45 +234,179 @@ def test_passing_qsum_cells_read_no_lowest_terms(statement, ranges,
 
 def test_packed_rows_live_only_in_the_grid_scope(monkeypatch):
     # each folded w-run's padded rows are built once per grid, shared by the
-    # r-siblings of a cell through the grid's memo scope, and nothing keeps
-    # them once the grid ends or is closed; a folded qsum_* call outside a
-    # grid keeps none
-    made = []
-    real = QLaurent._x_rows
+    # r-siblings of a cell through the grid's memo scope, which keeps one
+    # windowed-columns entry per summand beside them, not one per r or per
+    # width; nothing keeps either once the grid ends or is closed, faulted
+    # or not, and a folded qsum_* call outside a grid keeps none
+    made, windowed = [], []
+    real_rows, real_cols = QLaurent._x_rows, congruence._windowed_columns
     monkeypatch.setattr(QLaurent, "_x_rows", lambda self, order:
-                        made.append(real(self, order)) or made[-1])
-    keys = set()
+                        made.append(real_rows(self, order)) or made[-1])
+    monkeypatch.setattr(congruence, "_windowed_columns", lambda *args: (
+        windowed.append(real_cols(*args)) or windowed[-1]))
+    keys = {"packed rows": set(), "windowed cols": set()}
     entry = STATEMENTS["thm-qsum-alternating"]
 
     def runner(p, fault):
         verdicts = entry.runner(p, fault)
-        keys.update(key for key in wpoly._GRID_MEMO.get()
-                    if key[0] == "packed rows")
+        for key in wpoly._GRID_MEMO.get():
+            keys.get(key[0], set()).add(key)
         return verdicts
+
+    def held_by_the_test_alone():
+        return (all(gc.get_referrers(rows) == [made] for rows in made)
+                and all(gc.get_referrers(cols) == [windowed]
+                        for cols in windowed))
 
     monkeypatch.setitem(STATEMENTS, "thm-qsum-alternating",
                         dataclasses.replace(entry, runner=runner))
     assert wpoly._GRID_MEMO.get() is None
     assert qsum_alternating(6, 2, 1, 2, order=12) == qsum_alternating(
         6, 2, 1, 2).fold(12)
-    assert made and all(gc.get_referrers(rows) == [made] for rows in made)
+    assert made and windowed and held_by_the_test_alone()
     spec = congruence.GridSpec("thm-qsum-alternating", (
         ("n", 2, 7), ("alpha", 1, 2), ("r", 1, 3)))
-    for half_read in (False, True):
-        made.clear()
-        keys.clear()
-        cells = congruence.grid_stream(spec)
+    for fault, half_read in ((False, False), (True, False), (False, True)):
+        for seen in (made, windowed, *keys.values()):
+            seen.clear()
+        cells = congruence.grid_stream(dataclasses.replace(
+            spec, inject_fault=fault))
         if half_read:
             for _ in range(7):
                 next(cells)
             cells.close()
         else:
             verdicts = list(cells)
+            assert all(v.passed is not fault for v in verdicts)
             # three r-siblings per (n, alpha), n - 1 summands each
-            assert sum(v.params["n"] - 1 for v in verdicts) == 3 * len(keys)
-        assert len(made) == len(keys) > 0
+            assert sum(v.params["n"] - 1 for v in verdicts) == 3 * len(
+                keys["packed rows"])
+        assert len(made) == len(keys["packed rows"]) == len(
+            keys["windowed cols"]) > 0
+        assert len(windowed) > len(made)
         assert cells.gi_frame is None
-        assert all(gc.get_referrers(rows) == [made] for rows in made)
+        assert held_by_the_test_alone()
+
+
+def _in_scope(memo, fn, *args):
+    token = qobjects._GRID_MEMO.set(memo)
+    try:
+        return fn(*args)
+    finally:
+        qobjects._GRID_MEMO.reset(token)
+
+
+def _spy_packing(monkeypatch):
+    # every _packed_columns result and every _pack_columns call
+    results, packs = [], []
+    real_columns, real_pack = (congruence._packed_columns,
+                               congruence._pack_columns)
+    monkeypatch.setattr(congruence, "_packed_columns", lambda *args: (
+        results.append(real_columns(*args)) or results[-1]))
+    monkeypatch.setattr(congruence, "_pack_columns", lambda *args: (
+        packs.append(args) or real_pack(*args)))
+    return results, packs
+
+
+def _scope_sequence(statement):
+    # (params, fault) in the order one scope runs them: r ascending,
+    # descending, repeated, and r = 16, whose bound is more than a 64-bit
+    # word above r = 1's; alpha, n and beta changing between siblings; and
+    # faulted cells, which qsum_*(order=N) packs without the moduli's
+    # headroom, so at another width
+    cells = [(6, 1, 1, 1), (6, 1, 2, 1), (6, 1, 3, 1), (6, 1, 3, 1),
+             (6, 1, 2, 1), (6, 1, 1, 1), (6, 1, 16, 1), (6, 1, 2, 1),
+             (6, 2, 2, 1), (6, 2, 3, 1), (7, 2, 3, 1), (7, 1, 1, 1),
+             (6, 1, 1, 2), (6, 1, 2, 2), (5, 1, 2, 1), (6, 1, 1, 1)]
+    faults = {12, 13, 14}
+    seq = []
+    for i, (n, alpha, r, beta) in enumerate(cells):
+        p = {"n": n, "alpha": alpha}
+        if statement == "thm-qsum-general":
+            p["beta"] = beta
+        p.update(m=1, r=r)
+        seq.append((p, i in faults))
+    return seq
+
+
+@pytest.mark.parametrize("statement", sorted(FULL_PATH))
+def test_qsum_cells_in_one_scope_match_a_fresh_scope_per_cell(statement,
+                                                              monkeypatch):
+    # one grid scope over the sequence reuses each summand's windowed
+    # columns across r-siblings; every verdict and every _packed_columns
+    # result (cols, bits, depth) must equal a fresh scope per cell's
+    results, packs = _spy_packing(monkeypatch)
+    runner = STATEMENTS[statement].runner
+    seq = _scope_sequence(statement)
+    memo = {}
+    shared = [_in_scope(memo, runner, p, fault) for p, fault in seq]
+    shared_results, shared_packs = results[:], len(packs)
+    del results[:], packs[:]
+    fresh = [_in_scope({}, runner, p, fault) for p, fault in seq]
+    assert shared == fresh
+    assert [v.passed for [v] in fresh] == [not fault for _, fault in seq]
+    assert shared_results == results
+    assert shared_packs < len(packs)
+    # r = 16 moved the unfaulted n = 6, alpha = 1 cells to another width
+    assert len({bits for (p, fault), (_, bits, _) in zip(seq, results)
+                if p["n"] == 6 and p["alpha"] == 1 and not fault}) > 1
+    windowed = [key for key in memo if key[0] == "windowed cols"]
+    assert len(windowed) == len({key for key in memo
+                                 if key[0] == "packed rows"})
+
+
+def test_packed_columns_in_one_scope_match_a_fresh_scope():
+    # summand lists that share entries beyond the statements' own cells:
+    # two n at one order (same summands, other shifts), with and without
+    # the moduli's headroom (other widths), and summands that differ only
+    # in the first weight's M, at one width
+    def other_first_weight(terms):
+        return [dataclasses.replace(t, weights=(
+            (t.weights[0][0] + 1, *t.weights[0][1:]), *t.weights[1:]))
+            for t in terms]
+
+    mods = congruence._qn_moduli(12)
+    plain, alternating = (congruence._plain_summands,
+                          congruence._alternating_summands)
+    calls = [(plain(12, 1, 1, 1), 12, mods),
+             (plain(7, 1, 1, 2), 12, ()),
+             (plain(7, 1, 1, 16), 12, mods),
+             (plain(7, 1, 1, 1), 12, mods),
+             (other_first_weight(plain(7, 1, 1, 1)), 12, mods),
+             (alternating(6, 2, 1, 2), 12, ()),
+             (other_first_weight(alternating(6, 2, 1, 2)), 12, ()),
+             (alternating(6, 2, 1, 1), 12, ()),
+             (alternating(5, 2, 1, 3), 12, ())]
+    memo = {}
+    shared = [_in_scope(memo, congruence._packed_columns, *args)
+              for args in calls]
+    fresh = [_in_scope({}, congruence._packed_columns, *args)
+             for args in calls]
+    assert shared == fresh
+    # each M pair is at one width, so only the key tells them apart
+    assert shared[3][1] == shared[4][1] and shared[5][1] == shared[6][1]
+    assert shared[1][1] != shared[2][1]
+
+
+@pytest.mark.parametrize("statement", sorted(FULL_PATH))
+def test_r_sibling_at_the_same_width_packs_no_summand(statement,
+                                                      monkeypatch):
+    # at n = 5 an r = 2 cell's bound is a byte or more above its r = 1
+    # sibling's; in whole 64-bit words both take one width, so the r = 2
+    # cell runs one pass of its first weight on each summand's kept columns
+    # and packs none
+    results, packs = _spy_packing(monkeypatch)
+    runner = STATEMENTS[statement].runner
+    p = {"n": 5, "alpha": 1, "m": 1, "r": 1}
+    if statement == "thm-qsum-general":
+        p["beta"] = 1
+    memo = {}
+    assert _in_scope(memo, runner, p, False)[0].passed
+    assert len(packs) == 4
+    del packs[:]
+    assert _in_scope(memo, runner, dict(p, r=2), False)[0].passed
+    assert results[0][1] == results[1][1] == 64
+    assert not packs
 
 
 def test_lowest_terms_give_the_full_value_lowest_exponent():

@@ -689,6 +689,21 @@ def test_rem_monic_cyclic_matches_rem_monic_below_zero():
                 == v.rem_monic(cyclotomic(d)))
 
 
+def test_divisibility_checks_keep_at_most_256_entries():
+    # rem_monic_cyclic checks once per (modulus, order) that the modulus
+    # divides q^order - 1; like _rem_spread, that table keeps at most 256
+    # entries however many distinct checks a process makes
+    table = polyring._divides_q_power_minus_one
+    table.cache_clear()
+    v = QLaurent.parse("q^-3*(1 + x) + q^5*(2)")
+    mod = QPoly((1, 1))
+    for order in range(2, 602, 2):
+        assert v.rem_monic_cyclic(mod, order) == v.rem_monic(mod)
+    info = table.cache_info()
+    assert info.misses == 300
+    assert info.maxsize == 256 and info.currsize <= 256
+
+
 def test_lowest_term():
     v = QLaurent.parse("q^-2*(3*x^2) + q^-1*(1) + q^4*(x)")
     assert v.lowest_term() == (-2, XPoly((0, 0, 3)))
