@@ -6,10 +6,11 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import select
 import sys
 import time
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import lru_cache
 
 from .congruence import (STATEMENTS, GridError, GridSpec, grid_stream,
@@ -22,21 +23,22 @@ from .wpoly import b_poly, q_w_poly, q_w_poly_alt, schroder_poly, w_alpha_poly
 _RANGE_FLAGS = ("n", "alpha", "beta", "m", "r", "d", "a", "b")
 
 
-@dataclass(frozen=True)
-class CliConfig:
-    command: str
-    statement: str | None = None
-    ranges: tuple = ()
-    workers: int = 0
-    output: str | None = None
-    format: str = "jsonl"
-    inject_fault: bool = False
-    count: int = 500
-    seed: int = 0
-    timing: bool = False
-    eval_target: str | None = None
-    eval_params: dict = field(default_factory=dict)
-    nmax: int = 10
+class CliConfig(namedtuple("CliConfig", "command statement ranges workers "
+                           "output format inject_fault count seed timing "
+                           "eval_target eval_params nmax")):
+    # the count field hides tuple.count, which nothing here calls
+    __slots__ = ()
+
+    def __new__(cls, command, statement=None, ranges=(), workers=0,
+                output=None, format="jsonl", inject_fault=False, count=500,
+                seed=0, timing=False, eval_target=None, eval_params=None,
+                nmax=10):
+        # eval_params defaults to a fresh dict, not one shared by every
+        # config
+        return tuple.__new__(cls, (
+            command, statement, ranges, workers, output, format,
+            inject_fault, count, seed, timing, eval_target,
+            {} if eval_params is None else eval_params, nmax))
 
 
 def _range_type(text):
@@ -353,4 +355,12 @@ def main(argv=None):
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    # Flush, then end the process without interpreter finalisation, which
+    # costs several ms and does nothing that a finished run needs: the
+    # --output file is closed by run(), and wpolys registers no atexit
+    # handler.  A flush that raises, SystemExit from argparse and any other
+    # exception from main() take the normal exit.
+    code = main()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)

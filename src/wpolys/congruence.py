@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cache
 from itertools import chain, repeat
 from operator import add, mod as modulo, mul, sub
@@ -219,7 +219,7 @@ def _packed_columns(summands, order, moduli=()):
     in x, and a bound on its x-degree.
 
     Each summand's folded w-run becomes its order q-columns (_pack_columns
-    of _base_rows).  The weights are cyclic windows on those integers, the
+    of its _x_rows).  The weights are cyclic windows on those integers, the
     q-shift a rotation, the sign a subtraction, and the summands add into
     one accumulator.  x -> 2^bits is a ring homomorphism Z[x] -> Z, and the
     weights, rotation, sign and sum act on each q-column alone, so they
@@ -236,31 +236,32 @@ def _packed_columns(summands, order, moduli=()):
     test_r_sibling_at_the_same_width_packs_no_summand pins it, and
     test_packed_rows_live_only_in_the_grid_scope keeps it in the grid.
     """
-    bases = [_base_rows(t, order) for t in summands]
+    sizes = [_base_size(t, order) for t in summands]
     bound = sum(top * math.prod(n ** r for n, r, _ in t.weights)
-                for t, (_, top) in zip(summands, bases))
+                for t, (top, _) in zip(summands, sizes))
     bits = (_packing_bits(bound, order, moduli) + 63) & ~63
     acc = [0] * order
-    for t, (rows, _) in zip(summands, bases):
-        cols = _windowed_columns(t, rows, bits, order)
+    for t in summands:
+        cols = _windowed_columns(t, bits, order)
         turn = order - t.shift % order
         acc = list(map(sub if t.negative else add, acc,
                        cols[turn:] + cols[:turn]))
-    depth = max((len(rows) for rows, _ in bases), default=1)
+    depth = max((depth for _, depth in sizes), default=1)
     return acc, bits, depth
 
 
-def _windowed_columns(t, rows, bits, order):
+def _windowed_columns(t, bits, order):
     """The summand's packed q-columns at bits times its weights, before its
     q-shift and sign.  Every summand table puts the r-carrying weight first.
 
     Inside a grid the scope keeps one entry per summand without its shift,
     sign and r: (bits, r_done, cols), cols after the other weights and
     r_done passes of the first.  A summand at the same bits with r >= r_done
-    runs only the r - r_done missing passes; any other packs afresh.  Either
-    way it overwrites the entry.  The windows are exact multiplications in
-    the commutative ring Z[x][q]/(q^order - 1), so their order does not
-    change the columns."""
+    runs only the r - r_done missing passes; any other packs afresh, from
+    the rows of its folded w-run, which the process-wide w-run tables keep
+    (the scope keeps no rows).  Either way it overwrites the entry.  The
+    windows are exact multiplications in the commutative ring
+    Z[x][q]/(q^order - 1), so their order does not change the columns."""
     memo = _GRID_MEMO.get()
     (first, r, stride), *others = t.weights
     key = ("windowed cols", t.k, t.count, t.alpha, t.m, t.doubled, order,
@@ -269,6 +270,7 @@ def _windowed_columns(t, rows, bits, order):
     if entry is not None and entry[0] == bits and entry[1] <= r:
         _, done, cols = entry
     else:
+        rows = t.base(order)._x_rows(order)
         cols = _pack_columns(rows or [[0] * order], bits)
         for n, e, s in others:
             cols = _window_slide_cyclic(cols, n, s, order, e)
@@ -280,17 +282,17 @@ def _windowed_columns(t, rows, bits, order):
     return cols
 
 
-def _base_rows(t, order):
-    """(rows, top) of the summand's folded w-run: its x-slices padded to
-    order q-coefficients (QLaurent._x_rows) and its largest coefficient
-    magnitude.  The r-siblings of a grid cell share them, so inside a grid
-    they are kept in its memo scope; outside a grid nothing keeps them."""
+def _base_size(t, order):
+    """(top, depth) of the summand's folded w-run: its largest coefficient
+    magnitude and its number of x-slices, the row count of its _x_rows.  The
+    r-siblings of a grid cell share them, so inside a grid they are kept in
+    its memo scope; outside a grid nothing keeps them."""
     memo = _GRID_MEMO.get()
-    key = ("packed rows", t.k, t.count, t.alpha, t.m, t.doubled, order)
+    key = ("base size", t.k, t.count, t.alpha, t.m, t.doubled, order)
     if memo is not None and key in memo:
         return memo[key]
-    base = t.base(order)
-    entry = base._x_rows(order), base._max_abs()
+    base = t.base(order).fold(order)
+    entry = base._max_abs(), len(base._slices)
     if memo is not None:
         memo[key] = entry
     return entry
@@ -982,5 +984,5 @@ def _run_cells(schema, cells, spec):
             _GRID_MEMO.reset(token)
         if spec.timing:
             elapsed = (time.perf_counter_ns() - t0) // 1_000_000
-            verdicts = [replace(v, elapsed_ms=elapsed) for v in verdicts]
+            verdicts = [v._replace(elapsed_ms=elapsed) for v in verdicts]
         yield from verdicts

@@ -4,7 +4,7 @@ w(n,k) triangle, Narayana numbers, and the identity suite relating them."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cache
 
 from .polyring import XPoly
@@ -101,13 +101,9 @@ def narayana_number(n, k):
     return quot
 
 
-@dataclass(frozen=True)
-class IdentityReport:
-    identity: str
-    params: tuple
-    holds: bool
-    lhs: object
-    rhs: object
+class IdentityReport(namedtuple("IdentityReport",
+                                "identity params holds lhs rhs")):
+    __slots__ = ()
 
 
 def w_identity_suite(n, m, b):

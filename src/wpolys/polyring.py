@@ -45,7 +45,7 @@ from __future__ import annotations
 import math
 import re
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from itertools import accumulate, chain, repeat, zip_longest
 from operator import add, and_, floordiv, lshift, mod as modulo, neg, sub
@@ -502,13 +502,10 @@ def _rem_spread(mod, order):
     return max(map(sum, zip_longest(*rems, fillvalue=0)))
 
 
-@dataclass(frozen=True)
-class DivisionWitness:
+class DivisionWitness(namedtuple("DivisionWitness", "kind degree detail")):
     """Why an exact division failed: obstruction kind, degree, and detail."""
 
-    kind: str
-    degree: int
-    detail: str
+    __slots__ = ()
 
     def __str__(self):
         return f"{self.kind} obstruction at degree {self.degree}: {self.detail}"

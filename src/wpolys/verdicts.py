@@ -2,27 +2,33 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(namedtuple("Verdict", "statement params passed witness "
+                                    "elapsed_ms status")):
     """One checked statement instance.
 
     A failing verdict always carries a witness: the nonzero remainder, or a
     description of the coefficient that obstructed an exact division.
+
+    A tuple record (immutable, compared field by field); __new__ raises the
+    ValueError, so the guard also runs under python -O and in _replace.
     """
 
-    statement: str
-    params: dict
-    passed: bool
-    witness: str | None = None
-    elapsed_ms: int = 0
-    status: str | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.passed and not self.witness:
+    def __new__(cls, statement, params, passed, witness=None, elapsed_ms=0,
+                status=None):
+        if not passed and not witness:
             raise ValueError("failing verdict requires a witness")
+        return tuple.__new__(cls, (statement, params, passed, witness,
+                                   elapsed_ms, status))
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make, which would skip the guard
+        return cls(*iterable)
 
     def to_json(self):
         out = {

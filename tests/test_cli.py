@@ -40,6 +40,10 @@ def test_parse_eval_config():
     assert config.command == "eval"
     assert config.eval_target == "w"
     assert config.eval_params == {"n": 3, "alpha": 1}
+    # each config that takes the default gets a dict of its own
+    bare = [parse_cli(argv) for argv in (["table"], ["selftest"])]
+    assert bare[0].eval_params == bare[1].eval_params == {}
+    assert bare[0].eval_params is not bare[1].eval_params
 
 
 def test_parse_rejects_malformed():
@@ -458,3 +462,50 @@ def test_killed_verify_child_leaves_a_valid_report_prefix():
     assert lines == want
     assert all(json.loads(line)["statement"] == "lemma-qlucas"
                and b"summary" not in line for line in lines)
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "thm-int-plain", "--n", "1..5"],
+    ["verify", "thm-qsum-plain", "--n", "2..5", "--format", "text"],
+    ["verify", "thm-qsum-plain", "--n", "2..4", "--inject-fault"],
+    ["verify", "thm-int-plain", "--n", "3..1"],
+    ["verify", "thm-int-plain", "--n", "1..3", "--output",
+     "{tmp}/missing/report"],
+    ["verify", "thm-qsum-alternating", "--n", "2..4", "--inject-fault",
+     "--output", "{tmp}/report"],
+    ["verify", "no-such-statement"],
+    ["eval", "qw", "--k", "3", "--alpha", "2"],
+    ["table", "--nmax", "7"],
+], ids=["jsonl", "text", "fault", "bad-grid", "unwritable", "output-file",
+        "usage", "eval", "table"])
+def test_command_exit_path_matches_in_process_main(argv, tmp_path):
+    # python -m wpolys.cli ends in a flush and os._exit: its stdout bytes
+    # through a pipe, its stderr, its exit code and its --output file must
+    # be what main() gives in process
+    import wpolys
+    src = os.path.dirname(os.path.dirname(os.path.abspath(wpolys.__file__)))
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+    report = tmp_path / "report"
+
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    written = report.read_bytes() if report.exists() else None
+    report.unlink(missing_ok=True)
+
+    # block-buffered stdout, whose unflushed bytes os._exit would drop
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    flags = ["-O"] if sys.flags.optimize else []
+    done = subprocess.run(
+        [sys.executable, *flags, "-m", "wpolys.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, timeout=120,
+        env=dict(env, PYTHONPATH=src))
+    assert done.returncode == code
+    assert done.stdout == out.getvalue().encode()
+    assert done.stderr.decode() == err.getvalue()
+    assert (report.read_bytes() if report.exists() else None) == written
+    assert (written is not None) == ("--output" in argv and code != 3)
+    assert done.stdout or err.getvalue() or written

@@ -31,6 +31,7 @@ from wpolys.congruence import (
 from wpolys.intcomb import lcm_range, rising_factorial
 from wpolys.polyring import DivisionWitness, QLaurent, XPoly
 from wpolys.qobjects import q_integer
+from wpolys.verdicts import Verdict
 from wpolys.wpoly import q_w_poly, w_alpha_poly
 
 
@@ -185,6 +186,29 @@ def test_conjecture_checks_status():
     assert v.statement == "conj-54-ii" and v.params == {"n": 3, "m": 2}
     js = v.to_json()
     assert js["status"] == "conjecture-empirical" and js["pass"] is True
+    # the Verdict record: defaults, repr, equality, immutability, and the
+    # witness guard on construction and _replace, which --timing uses
+    plain = Verdict("mod-qn", {"n": 3}, True)
+    assert (plain.witness, plain.elapsed_ms, plain.status) == (None, 0, None)
+    assert repr(plain) == ("Verdict(statement='mod-qn', params={'n': 3}, "
+                           "passed=True, witness=None, elapsed_ms=0, "
+                           "status=None)")
+    assert plain == Verdict("mod-qn", {"n": 3}, True, None, 0, None)
+    assert plain != Verdict("mod-qn", {"n": 4}, True)
+    for field in ("passed", "witness", "elapsed"):
+        with pytest.raises(AttributeError):
+            setattr(plain, field, None)
+    assert plain.to_json() == {"statement": "mod-qn", "params": {"n": 3},
+                               "pass": True, "witness": None,
+                               "elapsed_ms": 0}
+    for witness in (None, ""):
+        with pytest.raises(ValueError, match="requires a witness"):
+            Verdict("mod-qn", {"n": 3}, False, witness)
+    failing = Verdict("mod-qn", {"n": 3}, False, "(1)")
+    assert failing._replace(elapsed_ms=5) == Verdict(
+        "mod-qn", {"n": 3}, False, "(1)", 5)
+    with pytest.raises(ValueError, match="requires a witness"):
+        failing._replace(witness=None)
 
 
 def test_statement_catalog():

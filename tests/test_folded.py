@@ -233,24 +233,31 @@ def test_passing_qsum_cells_read_no_lowest_terms(statement, ranges,
 
 
 def test_packed_rows_live_only_in_the_grid_scope(monkeypatch):
-    # each folded w-run's padded rows are built once per grid, shared by the
-    # r-siblings of a cell through the grid's memo scope, which keeps one
-    # windowed-columns entry per summand beside them, not one per r or per
-    # width; nothing keeps either once the grid ends or is closed, faulted
-    # or not, and a folded qsum_* call outside a grid keeps none
+    # the grid's memo scope keeps each folded w-run's (top, depth) once per
+    # grid and one windowed-columns entry per summand beside it, not one per
+    # r or per width, and never a padded row list: a summand packed afresh
+    # builds its rows from the process-wide w-run and drops them; nothing
+    # keeps the rows or the columns once the grid ends or is closed,
+    # faulted or not, and a folded qsum_* call outside a grid keeps none
     made, windowed = [], []
     real_rows, real_cols = QLaurent._x_rows, congruence._windowed_columns
     monkeypatch.setattr(QLaurent, "_x_rows", lambda self, order:
                         made.append(real_rows(self, order)) or made[-1])
     monkeypatch.setattr(congruence, "_windowed_columns", lambda *args: (
         windowed.append(real_cols(*args)) or windowed[-1]))
-    keys = {"packed rows": set(), "windowed cols": set()}
+    keys = {"base size": set(), "windowed cols": set()}
     entry = STATEMENTS["thm-qsum-alternating"]
 
     def runner(p, fault):
         verdicts = entry.runner(p, fault)
-        for key in wpoly._GRID_MEMO.get():
+        memo = wpoly._GRID_MEMO.get()
+        for key in memo:
             keys.get(key[0], set()).add(key)
+        # no entry is a row list or a single row, nor holds one
+        rows = {id(x) for rs in made for x in (rs, *rs)}
+        held = [*memo.values()]
+        held += [x for value in held if type(value) is tuple for x in value]
+        assert not any(id(x) in rows for x in held)
         return verdicts
 
     def held_by_the_test_alone():
@@ -280,8 +287,8 @@ def test_packed_rows_live_only_in_the_grid_scope(monkeypatch):
             assert all(v.passed is not fault for v in verdicts)
             # three r-siblings per (n, alpha), n - 1 summands each
             assert sum(v.params["n"] - 1 for v in verdicts) == 3 * len(
-                keys["packed rows"])
-        assert len(made) == len(keys["packed rows"]) == len(
+                keys["base size"])
+        assert len(made) >= len(keys["base size"]) == len(
             keys["windowed cols"]) > 0
         assert len(windowed) > len(made)
         assert cells.gi_frame is None
@@ -352,7 +359,7 @@ def test_qsum_cells_in_one_scope_match_a_fresh_scope_per_cell(statement,
                 if p["n"] == 6 and p["alpha"] == 1 and not fault}) > 1
     windowed = [key for key in memo if key[0] == "windowed cols"]
     assert len(windowed) == len({key for key in memo
-                                 if key[0] == "packed rows"})
+                                 if key[0] == "base size"})
 
 
 def test_packed_columns_in_one_scope_match_a_fresh_scope():

@@ -137,6 +137,17 @@ def test_identity_suite_shape():
     parity = reports[3]
     assert parity.params == (3, 1) and parity.holds
     assert parity.lhs == 11 % 2 and parity.rhs == 1
+    # the record: repr, equality and immutability
+    assert repr(parity) == ("IdentityReport(identity='partial-row-sum-odd', "
+                            "params=(3, 1), holds=True, lhs=1, rhs=1)")
+    assert parity == IdentityReport("partial-row-sum-odd", (3, 1), True, 1, 1)
+    assert parity != IdentityReport("partial-row-sum-odd", (3, 1), True, 1, 0)
+    for field in ("holds", "other"):
+        try:
+            setattr(parity, field, False)
+            assert False, f"assigning {field} should raise"
+        except AttributeError:
+            pass
 
 
 def test_identity_suite_holds_small():

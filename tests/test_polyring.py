@@ -192,6 +192,17 @@ def test_xpoly_divexact():
     assert XPoly((2, 4)).divexact(2) == XPoly((1, 2))
     assert isinstance(XPoly((1, 2)).divexact(2), DivisionWitness)
     assert XPoly().divexact(XPoly((1, 1))) == XPoly()
+    # the record: str, repr, equality and immutability
+    w = DivisionWitness("coefficient", 2, "3 is not divisible by 2")
+    assert str(w) == ("coefficient obstruction at degree 2: 3 is not "
+                      "divisible by 2")
+    assert repr(w) == ("DivisionWitness(kind='coefficient', degree=2, "
+                       "detail='3 is not divisible by 2')")
+    assert w == DivisionWitness("coefficient", 2, "3 is not divisible by 2")
+    assert w != DivisionWitness("coefficient", 1, "3 is not divisible by 2")
+    for field in ("degree", "other"):
+        with pytest.raises(AttributeError):
+            setattr(w, field, 0)
 
 
 def test_xpoly_affine_subst():
