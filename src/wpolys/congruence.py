@@ -38,19 +38,18 @@ def _fold(value, order):
     return value if order is None else value.fold(order)
 
 
-def _split(count):
-    # A run of count > 1 factors is the run of its first 2^i factors, 2^i the
-    # largest power of two below count, times the run of the rest: a product
-    # tree, balanced when count is a power of two, whose subtrees
-    # neighbouring windows share.
-    return 1 << (count - 1).bit_length() - 1
-
-
-def _power_tree(power, m, order=None):
-    # power(m) for m > 1 as power(h) * power(m - h), h = _split(m), both
-    # cached by the caller: m = 3 reuses m = 2, m = 4 squares it
-    h = _split(m)
-    return _fold(power(h) * power(m - h), order)
+def _halves(k, m, count):
+    """The runs (k, m, count) of the two halves whose product is the run of
+    q_w_poly(j, alpha)^m over j = k .. k+count-1 (m > 1 or count > 1).  For
+    m > 1 a power tree, h = 2^i the largest power of two below m (m = 3
+    reuses m = 2, m = 4 squares it); else its first h factors, h below
+    count alike, times the rest: a product tree, balanced when count is a
+    power of two, whose subtrees neighbouring windows share."""
+    if m > 1:
+        h = 1 << (m - 1).bit_length() - 1
+        return (k, h, count), (k, m - h, count)
+    h = 1 << (count - 1).bit_length() - 1
+    return (k, 1, h), (k + h, 1, count - h)
 
 
 @cache
@@ -58,7 +57,8 @@ def _w_power(k, alpha, m, order=None):
     """q_w_poly(k, alpha) to the m, folded mod q^order - 1 when an order is
     given.  Callers pass order positionally so that each value has one key."""
     if m > 1:
-        return _power_tree(lambda e: _w_power(k, alpha, e, order), m, order)
+        a, b = (_w_power(k, alpha, e, order) for _, e, _ in _halves(k, m, 1))
+        return _fold(a * b, order)
     # the full value's memo key in q_w_poly has no order
     return q_w_poly(k, alpha) if order is None else q_w_poly(k, alpha, order)
 
@@ -76,38 +76,31 @@ def _w_power_q2(k, alpha, m, order=None):
 @cache
 def _w_run(k, alpha, m, count, order=None):
     """The product of q_w_poly(j, alpha)^m over j = k .. k+count-1, folded
-    when an order is given: a power tree over m > 1, else the product of
-    the two cached runs that _split gives."""
+    when an order is given: the product of the cached runs of its _halves."""
     if count == 1:
         return _w_power(k, alpha, m, order)
-    if m > 1:
-        return _power_tree(lambda e: _w_run(k, alpha, e, count, order), m,
-                           order)
-    half = _split(count)
-    return _fold(_w_run(k, alpha, 1, half, order)
-                 * _w_run(k + half, alpha, 1, count - half, order), order)
+    a, b = (_w_run(j, alpha, e, c, order) for j, e, c in _halves(k, m, count))
+    return _fold(a * b, order)
 
 
 @cache
 def _run_lowest_term(k, alpha, m, count):
     """_w_run(k, alpha, m, count).lowest_term(), from the factors' lowest
     terms (see _Summand.lowest_term)."""
-    if count == 1:
-        e, c = _q_w_lowest_term(k, alpha)
+    if count == 1 or m > 1:
+        e, c = (_q_w_lowest_term(k, alpha) if count == 1
+                else _run_lowest_term(k, alpha, 1, count))
         return m * e, c ** m
-    if m > 1:
-        e, c = _run_lowest_term(k, alpha, 1, count)
-        return m * e, c ** m
-    half = _split(count)
-    e, c = _run_lowest_term(k, alpha, 1, half)
-    f, d = _run_lowest_term(k + half, alpha, 1, count - half)
-    return e + f, c * d
+    a, b = (_run_lowest_term(j, alpha, e, c)
+            for j, e, c in _halves(k, m, count))
+    return a[0] + b[0], a[1] * b[1]
 
 
 @cache
 def _wx_power(k, alpha, m):
     if m > 1:
-        return _power_tree(lambda e: _wx_power(k, alpha, e), m)
+        a, b = (_wx_power(k, alpha, e) for _, e, _ in _halves(k, m, 1))
+        return a * b
     return w_alpha_poly(k, alpha)
 
 
@@ -116,11 +109,8 @@ def _wx_run(k, alpha, m, count):
     # the q = 1 image of _w_run, built in the same shape
     if count == 1:
         return _wx_power(k, alpha, m)
-    if m > 1:
-        return _power_tree(lambda e: _wx_run(k, alpha, e, count), m)
-    half = _split(count)
-    return _wx_run(k, alpha, 1, half) * _wx_run(k + half, alpha, 1,
-                                                count - half)
+    a, b = (_wx_run(j, alpha, e, c) for j, e, c in _halves(k, m, count))
+    return a * b
 
 
 def _check_positive(**kwargs):
@@ -163,6 +153,12 @@ class _Summand:
         value = value.shift_q(self.shift)
         return -value if self.negative else value
 
+    def weight_at_one(self):
+        """+-prod M^r, the factor of its w-run (_wx_run at q = 1) when q = 1:
+        a shift becomes 1, and q -> q^2 changes nothing."""
+        c = math.prod(n ** r for n, r, _ in self.weights)
+        return -c if self.negative else c
+
     def lowest_term(self):
         """(e, c) for the summand's lowest q-term c*q^e.
 
@@ -178,39 +174,45 @@ class _Summand:
         return e + self.shift, -c if self.negative else c
 
 
-# The summands of the four q-sums, k = 1..n-1; k = 0 drops out of each
-# because a weight is [0].  The public qsum_* builders and the grid runners
-# both read these.
-
-def _plain_summands(n, alpha, m, r):
-    return [_Summand(k, 1, alpha, m,
-                     ((k * (k + 1), r, 1), (2 * k + 1, 1, 1)),
-                     (n - 1 - k) * (alpha * m + 1))
-            for k in range(1, n)]
-
-
-def _alternating_summands(n, alpha, m, r):
-    return [_Summand(k, 1, alpha, m,
-                     ((k * (k + 1), r, 2), (2 * k + 1, 1, 1)),
-                     (n - 1 - k) * (2 * alpha * m + 1),
-                     doubled=True, negative=bool(k & 1))
-            for k in range(1, n)]
+def _table(row):
+    """The table at n of row(n, k, ...) for k = 1..n-1 (k = 0 drops out of
+    each q-sum because a weight is [0]); running sums build only the rows
+    they add, through the table's row attribute."""
+    def summands(n, *args, **kwargs):
+        return [row(n, k, *args, **kwargs) for k in range(1, n)]
+    summands.row = row
+    return summands
 
 
-def _product_summands(n, alpha, m, r):
-    return [_Summand(k, 2, alpha, m,
-                     ((k * (k + 2), r, 1), (2 * (k + 1), 1, 1)),
-                     (n - 2 - k) * (2 * alpha * m + 1))
-            for k in range(1, n)]
+@_table
+def _plain_summands(n, k, alpha, m, r):
+    return _Summand(k, 1, alpha, m,
+                    ((k * (k + 1), r, 1), (2 * k + 1, 1, 1)),
+                    (n - 1 - k) * (alpha * m + 1))
 
 
-def _general_summands(n, alpha, beta, m, r):
-    return [_Summand(k, 2 * beta, alpha, m,
-                     ((rising_factorial(k, beta)
-                       * rising_factorial(k + beta + 1, beta), r, 1),
-                      (2 * (k + beta), 1, 1)),
-                     (n - 2 * beta - k) * (2 * beta * alpha * m + 1))
-            for k in range(1, n)]
+@_table
+def _alternating_summands(n, k, alpha, m, r):
+    return _Summand(k, 1, alpha, m,
+                    ((k * (k + 1), r, 2), (2 * k + 1, 1, 1)),
+                    (n - 1 - k) * (2 * alpha * m + 1),
+                    doubled=True, negative=bool(k & 1))
+
+
+@_table
+def _product_summands(n, k, alpha, m, r):
+    return _Summand(k, 2, alpha, m,
+                    ((k * (k + 2), r, 1), (2 * (k + 1), 1, 1)),
+                    (n - 2 - k) * (2 * alpha * m + 1))
+
+
+@_table
+def _general_summands(n, k, alpha, beta, m, r):
+    return _Summand(k, 2 * beta, alpha, m,
+                    ((rising_factorial(k, beta)
+                      * rising_factorial(k + beta + 1, beta), r, 1),
+                     (2 * (k + beta), 1, 1)),
+                    (n - 2 * beta - k) * (2 * beta * alpha * m + 1))
 
 
 def _packed_columns(summands, order, moduli=()):
@@ -237,7 +239,7 @@ def _packed_columns(summands, order, moduli=()):
     test_packed_rows_live_only_in_the_grid_scope keeps it in the grid.
     """
     sizes = [_base_size(t, order) for t in summands]
-    bound = sum(top * math.prod(n ** r for n, r, _ in t.weights)
+    bound = sum(top * abs(t.weight_at_one())
                 for t, (top, _) in zip(summands, sizes))
     bits = (_packing_bits(bound, order, moduli) + 63) & ~63
     acc = [0] * order
@@ -331,7 +333,7 @@ def _qsum(summands, n, args, step, order):
     if done < n:
         value = QLaurent.sum(chain(
             (value.shift_q((n - done) * step),),
-            (t.value() for t in summands(n, *args)[done - 1:])))
+            (summands.row(n, k, *args).value() for k in range(done, n))))
     _RUNNING_QSUM.clear()
     _RUNNING_QSUM[series] = (n, value)
     return value
@@ -379,26 +381,28 @@ def qsum_general(n, alpha, beta, m, r, order=None):
 
 def verify_divisible_by_qn(value, n, statement="mod-qn", params=None):
     """Pass iff the remainder of value mod [n] is zero."""
-    if n < 2:
-        raise ValueError("modulus [n] needs n >= 2")
-    [(mod, d)] = _qn_moduli(n)
-    rem = value.rem_monic_cyclic(mod, d)
-    ok = rem.is_zero()
-    return Verdict(statement, dict(params or {"n": n}), ok,
-                   None if ok else str(rem))
+    return _verify_moduli(value, n, statement, params, _qn_moduli,
+                          "modulus [n]", "{rem}")
 
 
 def verify_cyclotomic_product(value, n, statement="cyclotomic-product",
                               params=None):
     """Factor-wise divisibility: cyclotomic(d) for odd divisors d > 1 of n,
     cyclotomic(2d) (the q^2 image of cyclotomic(d)) for even divisors."""
+    return _verify_moduli(value, n, statement, params, _cyclotomic_moduli,
+                          "cyclotomic product", "d={d}: {rem}")
+
+
+def _verify_moduli(value, n, statement, params, moduli, name, form):
+    # pass iff value is zero modulo each (mod, d) of moduli(n); the witness
+    # is form filled in with the first nonzero remainder rem and its d
     if n < 2:
-        raise ValueError("cyclotomic product needs n >= 2")
+        raise ValueError(f"{name} needs n >= 2")
     witness = None
-    for mod, d in _cyclotomic_moduli(n):
+    for mod, d in moduli(n):
         rem = value.rem_monic_cyclic(mod, d)
         if not rem.is_zero():
-            witness = f"d={d}: {rem}"
+            witness = form.format(d=d, rem=rem)
             break
     return Verdict(statement, dict(params or {"n": n}), witness is None,
                    witness)
@@ -438,32 +442,32 @@ def _running_sum(table, series, n, step, zero):
     return acc
 
 
-def _plain_series(n, alpha, m, r, sign):
-    # sum over k = 1..n of sign^k [k(k+1)]^r (2k+1) w_k^(alpha, m), as
-    # (series key, n, alpha, m, run length, weight of term k)
-    return (("plain", alpha, m, r, sign), n, alpha, m, 1,
-            lambda k: sign ** k * (k * (k + 1)) ** r * (2 * k + 1))
+def _int_series(statement, p):
+    """(key, n, term) of an integer-side cell's series, its sum over k =
+    1..n: term(k) is the w-run of row k of its q-sum table at n + 1 and the
+    row's q = 1 weight over the factor (_DIVISIONS).  A q-shift is 1 at
+    q = 1, so key names the table and every parameter but n."""
+    table, fixed, factor, _ = _DIVISIONS[statement]
+    args = {**p, **fixed}
+    n = args.pop("n")
+
+    def term(k):
+        t = table.row(n + 1, k, **args)
+        return (t.k, t.alpha, t.m, t.count), t.weight_at_one() // factor
+    return (table, *sorted(args.items())), n, term
 
 
-def _window_series(n, alpha, beta, m, r):
-    # sum over k = 1..n of [(k)_beta (k+beta+1)_beta]^r (k+beta) times the
-    # product of 2*beta consecutive w powers
-    return (("window", alpha, beta, m, r), n, alpha, m, 2 * beta,
-            lambda k: (rising_factorial(k, beta)
-                       * rising_factorial(k + beta + 1, beta)) ** r
-            * (k + beta))
-
-
-def _int_sum(key, n, alpha, m, count, weight):
+def _int_sum(key, n, term):
     # the exact XPoly sum of a series, kept process-wide in _RUNNING_SUMS
-    return _running_sum(
-        _RUNNING_SUMS, key, n,
-        lambda acc, k: acc + _wx_run(k, alpha, m, count) * weight(k), XPoly())
+    def step(acc, k):
+        run, c = term(k)
+        return acc + _wx_run(*run) * c
+    return _running_sum(_RUNNING_SUMS, key, n, step, XPoly())
 
 
 def _residue_run(k, alpha, m, count, memo, modulus):
     """_wx_run(k, alpha, m, count) with its coefficients mod modulus, built
-    in the same shape from the runs it splits into, each kept in the memo:
+    in the same shape from the runs of its _halves, each kept in the memo:
     a series' r-siblings and neighbouring windows share them."""
     key = ("int run", k, alpha, m, count)
     run = memo.get(key)
@@ -473,18 +477,15 @@ def _residue_run(k, alpha, m, count, memo, modulus):
         # w_alpha_poly(k, alpha) mod modulus, coefficient by coefficient
         run = [pow(w_number(k, j), alpha, modulus) for j in range(1, k + 1)]
     else:
-        h = _split(m if m > 1 else count)
-        a, b = (((k, alpha, h, count), (k, alpha, m - h, count)) if m > 1
-                else ((k, alpha, 1, h), (k + h, alpha, 1, count - h)))
         # a square (a == b) is one list, which _kronecker packs once
-        run = list(map(modulo, _kronecker(_residue_run(*a, memo, modulus),
-                                          _residue_run(*b, memo, modulus)),
-                       repeat(modulus)))
+        a, b = (_residue_run(j, alpha, e, c, memo, modulus)
+                for j, e, c in _halves(k, m, count))
+        run = list(map(modulo, _kronecker(a, b), repeat(modulus)))
     memo[key] = run
     return run
 
 
-def _residue_sum(key, n, alpha, m, count, weight, memo, modulus):
+def _residue_sum(key, n, term, memo, modulus):
     """(residues, constant) of a series' sum over k = 1..n, kept in the
     memo: coefficients congruent to the exact sum's mod modulus (each run
     is reduced, the weighted sum is not), and the exact constant term.
@@ -494,11 +495,10 @@ def _residue_sum(key, n, alpha, m, count, weight, memo, modulus):
     terms), so the sum's constant term is the sum of the weights."""
     def step(acc, k):
         res, low = acc
-        c = weight(k)
-        term = list(map(mul, _residue_run(k, alpha, m, count, memo, modulus),
-                        repeat(c)))
-        return (list(map(add, res, term))
-                + (term[len(res):] or res[len(term):]), low + c)
+        run, c = term(k)
+        part = list(map(mul, _residue_run(*run, memo, modulus), repeat(c)))
+        return (list(map(add, res, part))
+                + (part[len(res):] or res[len(part):]), low + c)
     return _running_sum(memo, ("int sum", key), n, step, ([], 0))
 
 
@@ -511,37 +511,38 @@ def _by_triple(p):
     return math.gcd(2, p["n"]), _triple(p["n"]), 0
 
 
-# integer-side statement -> (the cell's series, (g, t, power)): the
-# statement says that g times the series' sum over k = 1..n, divided exactly
-# by (2x+1)^power, is divisible by the integer t; both take the cell's
-# parameters
+# integer-side statement -> (q-sum table, the table parameters it fixes,
+# factor, division).  The cell's series is the table's rows k = 1..n at
+# n + 1 and q = 1, each divided by factor: a window row's [2(k+beta)] is
+# 2(k+beta) where the series has k+beta.  With (g, t, power) =
+# division(cell parameters), g times the series' sum S, divided exactly by
+# (2x+1)^power, is divisible by the integer t.  A fault adds one to S, so
+# a faulted window cell decides g (S + 1), not 2S + 1.
 _DIVISIONS = {
-    "thm-int-plain": (lambda p: _plain_series(sign=1, **p), _by_triple),
-    "thm-int-alternating": (lambda p: _plain_series(sign=-1, **p),
-                            _by_triple),
+    "thm-int-plain": (_plain_summands, {}, 1, _by_triple),
+    "thm-int-alternating": (_alternating_summands, {}, 1, _by_triple),
     "thm-int-lcm": (
-        lambda p: _window_series(**p),
+        _general_summands, {}, 2,
         lambda p: (2, lcm_range(p["n"], p["n"] + 2 * p["beta"] + 1), 0)),
-    "conj-52-even": (lambda p: _plain_series(r=1, sign=-1, **p),
+    "conj-52-even": (_alternating_summands, {"r": 1}, 1,
                      lambda p: (1, _triple(p["n"]), 0)),
     # conj-54 sums the neighbour products k(k+1)(k+2) (w_k w_(k+1))^m
     "conj-54-ii": (
-        lambda p: _window_series(alpha=1, beta=1, r=1, **p),
+        _general_summands, {"alpha": 1, "beta": 1, "r": 1}, 2,
         lambda p: (2 * math.gcd(2, p["n"]), _triple(p["n"]), p["m"])),
     "conj-54-iii": (
-        lambda p: _window_series(alpha=1, beta=1, m=1, r=1, **p),
+        _general_summands, {"alpha": 1, "beta": 1, "m": 1, "r": 1}, 2,
         lambda p: (2 * math.gcd(2, p["n"]), _triple(p["n"]), 3)),
 }
 
 
 def _divide(statement, params, fault):
     """Exact quotient of an integer-side statement's sum, or the obstruction
-    witness; fault adds one to the sum first."""
-    series, division = _DIVISIONS[statement]
-    acc = _int_sum(*series(params))
+    witness; fault adds one to the sum S first (see _DIVISIONS)."""
+    acc = _int_sum(*_int_series(statement, params))
     if fault:
         acc = acc + 1
-    g, t, power = division(params)
+    g, t, power = _DIVISIONS[statement][3](params)
     if power:
         acc = acc.divexact(_TWO_X_PLUS_ONE ** power)
         if isinstance(acc, DivisionWitness):
@@ -639,8 +640,10 @@ class GridSpec:
 
     ranges is an ordered tuple of (name, lo, hi); missing names take the
     statement's defaults.  count and seed only matter for the sampled
-    q-Lucas statement.  inject_fault adds one to the assembled value (test
-    hook for witness soundness); only divisibility statements support it.
+    q-Lucas statement.  inject_fault adds one to the q-sum, or to the
+    integer series' sum S before its factor g (_DIVISIONS): a faulted
+    thm-int-lcm or conj-54-* cell decides g (S + 1), g = 2 or 2 gcd(2, n).
+    It is a test hook for witness soundness, for divisibility statements.
     workers must be >= 0 and selects nothing: grids run in one thread.
     """
 
@@ -704,21 +707,21 @@ def _qsum_runner(statement, build, summands, decide, moduli):
     return run
 
 
-def _division_runner(statement):
-    return lambda p, fault: [_division_verdict(statement, p, fault)]
-
-
 def _grid_modulus(statement, cells):
-    # M for _residue_runner: the lcm of the divisor t of every cell
-    division = _DIVISIONS[statement][1]
-    return math.lcm(*{division(p)[1] for p in cells})
+    # M for _int_runner: the lcm of the divisor t of every cell of an
+    # integer-side grid, or None when it is no such grid or a cell divides
+    # by a power of 2x + 1 first, which no integer residue decides
+    if statement in _DIVISIONS:
+        divisions = [_DIVISIONS[statement][3](p) for p in cells]
+        if not any(power for _, _, power in divisions):
+            return math.lcm(*{t for _, t, _ in divisions})
 
 
-def _residue_runner(statement):
-    """Cell runner of an integer-side statement whose divisor is the integer
-    t (power 0 in _DIVISIONS): decide g times the sum, plus one under a
-    fault, on its coefficients mod M, the lcm of every cell's t in the grid
-    (memo key ("int modulus",), set by _run_cells).
+def _int_runner(statement):
+    """Cell runner of an integer-side statement.  In a grid whose divisor
+    is the integer t (power 0 in _DIVISIONS) it decides g times the sum,
+    plus one under a fault, on its coefficients mod M, the lcm of every
+    cell's t in the grid (memo key ("int modulus",), set by _run_cells).
 
     Z -> Z/M -> Z/t is a ring map for t dividing M, and g c = 0 mod t iff
     c = 0 mod t/gcd(g, t), so the residues give the exact verdict and the
@@ -726,17 +729,15 @@ def _residue_runner(statement):
     where a fault's +1 lands, that coefficient is g times the exact constant
     term (_residue_sum).  Above it the cell takes the exact path (_divide);
     if that passes, or fails at another degree, the residues were wrong, and
-    this raises.  Outside a grid the exact path decides.
+    this raises.  Outside such a grid the exact path decides.
     """
-    series, division = _DIVISIONS[statement]
-
     def run(p, fault):
         memo = _GRID_MEMO.get()
         modulus = None if memo is None else memo.get(("int modulus",))
         if modulus is None:
             return [_division_verdict(statement, p, fault)]
-        g, t, _ = division(p)
-        res, low = _residue_sum(*series(p), memo, modulus)
+        g, t, _ = _DIVISIONS[statement][3](p)
+        res, low = _residue_sum(*_int_series(statement, p), memo, modulus)
         if (res[0] - low) % modulus:
             raise ArithmeticError(
                 f"{statement} {p}: the residue sum's constant term is not "
@@ -794,7 +795,6 @@ class _Statement:
     fault_ok: bool = True
     cell_filter: object = None
     sampled: bool = False
-    residues: bool = False      # decided by _residue_runner
 
 
 def _lemma23_valid(p):
@@ -836,14 +836,13 @@ STATEMENTS = {
                      _general_summands,
                      lambda *args: verify_divisible_by_qn(*args),
                      _qn_moduli)),
-    "thm-int-plain": _Statement(
-        _INT_PARAMS, _residue_runner("thm-int-plain"), residues=True),
+    "thm-int-plain": _Statement(_INT_PARAMS, _int_runner("thm-int-plain")),
     "thm-int-alternating": _Statement(
-        _INT_PARAMS, _residue_runner("thm-int-alternating"), residues=True),
+        _INT_PARAMS, _int_runner("thm-int-alternating")),
     "thm-int-lcm": _Statement(
         (("n", 1, None), ("alpha", 1, (1, 1)), ("beta", 1, (1, 1)),
          ("m", 1, (1, 1)), ("r", 1, (1, 1))),
-        _residue_runner("thm-int-lcm"), residues=True),
+        _int_runner("thm-int-lcm")),
     "lemma-23": _Statement(
         (("a", 0, (0, 3)), ("b", 0, (0, 8)), ("d", 3, (3, 10)),
          ("alpha", 1, (1, 2))),
@@ -859,14 +858,14 @@ STATEMENTS = {
         cell_filter=lambda p: p["m"] <= p["n"]),
     "conj-52-even": _Statement(
         (("n", 1, None), ("alpha", 2, (2, 2)), ("m", 1, (1, 1))),
-        _residue_runner("conj-52-even"),
-        cell_filter=lambda p: p["n"] % 2 == 0, residues=True),
+        _int_runner("conj-52-even"),
+        cell_filter=lambda p: p["n"] % 2 == 0),
     "conj-54-ii": _Statement(
         (("n", 1, None), ("m", 1, (1, 1))),
-        _division_runner("conj-54-ii")),
+        _int_runner("conj-54-ii")),
     "conj-54-iii": _Statement(
         (("n", 1, None),),
-        _division_runner("conj-54-iii"),
+        _int_runner("conj-54-iii"),
         cell_filter=lambda p: p["n"] % 2 == 0),
 }
 
@@ -970,11 +969,10 @@ def grid_stream(spec):
 def _run_cells(schema, cells, spec):
     # The grid's memo scope (qobjects._GRID_MEMO): made at the first cell, set
     # only while a cell runs, and dropped with this generator's frame when
-    # the grid ends or the generator is closed.  A grid of _residue_runner
-    # cells starts it with M, the lcm of every cell's divisor.
-    memo = {}
-    if schema.residues:
-        memo[("int modulus",)] = _grid_modulus(spec.statement, cells)
+    # the grid ends or the generator is closed.  An integer grid whose cells
+    # divide by integers starts it with M, their lcm (_grid_modulus).
+    modulus = _grid_modulus(spec.statement, cells)
+    memo = {} if modulus is None else {("int modulus",): modulus}
     for params in cells:
         t0 = time.perf_counter_ns()
         token = _GRID_MEMO.set(memo)

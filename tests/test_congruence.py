@@ -399,6 +399,14 @@ def _lcm_quotient(acc, n, beta):
     return (acc * 2).divexact(lcm_range(n, n + 2 * beta + 1))
 
 
+def _conj54_quotient(acc, n, power):
+    # acc divided by (2x+1)^power, then 2 gcd(2, n) times it by n(n+1)(n+2)
+    acc = acc.divexact(XPoly((1, 2)) ** power)
+    if isinstance(acc, DivisionWitness):
+        return acc
+    return (acc * (2 * math.gcd(2, n))).divexact(n * (n + 1) * (n + 2))
+
+
 def test_running_integer_sums_match_direct_sums():
     # each series keeps one running sum, extended while n grows and started
     # over when n falls; n ascending, descending and repeated
@@ -417,8 +425,10 @@ def test_running_integer_sums_match_direct_sums():
 
 
 def test_running_integer_sums_in_grids_match_direct_sums():
-    # a faulted cell's witness is the obstruction of the sum built from k = 1
-    # plus one; grids after a larger grid start their series over
+    # a faulted cell's witness is the obstruction of g (S + 1), S the sum
+    # built from k = 1: the window statements read rows that are twice the
+    # series' terms, and the fault's +1 still lands on S, not on 2S; grids
+    # after a larger grid start their series over
     for lo, hi in ((4, 7), (1, 3), (1, 3), (2, 8)):
         spec = GridSpec("thm-int-alternating",
                         ranges=(("n", lo, hi), ("m", 1, 2)), inject_fault=True)
@@ -427,6 +437,20 @@ def test_running_integer_sums_in_grids_match_direct_sums():
             acc = _direct_int_sum(p["n"], 1, p["m"], 1, -1) + 1
             assert not v.passed
             assert v.witness == str(_plain_quotient(acc, p["n"]))
+        spec = GridSpec("thm-int-lcm", ranges=(("n", lo, hi), ("beta", 1, 2)),
+                        inject_fault=True)
+        for v in grid_verify(spec):
+            p = v.params
+            acc = _direct_window_sum(p["n"], 1, p["beta"], 1, 1) + 1
+            assert not v.passed
+            assert v.witness == str(_lcm_quotient(acc, p["n"], p["beta"]))
+        spec = GridSpec("conj-54-ii", ranges=(("n", lo, hi), ("m", 1, 2)),
+                        inject_fault=True)
+        for v in grid_verify(spec):
+            p = v.params
+            acc = _direct_window_sum(p["n"], 1, 1, p["m"], 1) + 1
+            assert not v.passed
+            assert v.witness == str(_conj54_quotient(acc, p["n"], p["m"]))
         spec = GridSpec("thm-int-lcm", ranges=(("n", lo, hi), ("beta", 1, 2)))
         for v in grid_verify(spec):
             p = v.params
@@ -434,6 +458,24 @@ def test_running_integer_sums_in_grids_match_direct_sums():
             assert int_sum_lcm_quotient(p["n"], 1, p["beta"], 1, 1) == (
                 _lcm_quotient(_direct_window_sum(p["n"], 1, p["beta"], 1, 1),
                               p["n"], p["beta"]))
+
+
+def test_integer_quotients_are_the_qsums_at_q_one_at_n_plus_one():
+    # the integer sums are the q-sum tables at q = 1 read at n + 1: the
+    # plain and alternating q-sums give the plain series, and the window
+    # q-sum, whose weight [2(k+beta)] becomes 2(k+beta), gives twice the
+    # window series, the 2 of thm-int-lcm
+    for n in range(1, 10):
+        for alpha, m, r in ((1, 1, 1), (2, 1, 2), (1, 2, 3)):
+            for sign, qsum in (("plus", qsum_plain),
+                               ("alternating", qsum_alternating)):
+                at_one = qsum(n + 1, alpha, m, r).eval_q_one()
+                assert int_sum_plain_quotient(n, alpha, m, r, sign) == (
+                    (at_one * math.gcd(2, n)).divexact(n * (n + 1) * (n + 2)))
+            for beta in (1, 2) if n <= 5 else (1,):
+                at_one = qsum_general(n + 1, alpha, beta, m, r).eval_q_one()
+                assert int_sum_lcm_quotient(n, alpha, beta, m, r) == (
+                    at_one.divexact(lcm_range(n, n + 2 * beta + 1)))
 
 
 def test_balanced_runs_match_a_left_to_right_chain():
@@ -459,7 +501,7 @@ def test_balanced_runs_match_a_left_to_right_chain():
 
 def test_m_power_trees_match_plain_powers():
     # m = 3 is m = 2 times m = 1, m = 4 the square of m = 2, and m = 5 is
-    # m = 4 times m = 1 (congruence._power_tree)
+    # m = 4 times m = 1 (congruence._halves)
     for k, alpha in ((2, 1), (3, 2), (4, 1)):
         w = [q_w_poly(j, alpha) for j in (k, k + 1)]
         wx = [w_alpha_poly(j, alpha) for j in (k, k + 1)]
@@ -557,7 +599,7 @@ def test_randint_draw_matches_random_randint():
         assert draw.getstate() == ref.getstate()
 
 
-# the integer statements that _residue_runner decides
+# the integer statements that _int_runner decides on residues
 RESIDUE_STATEMENTS = ("thm-int-plain", "thm-int-alternating", "thm-int-lcm",
                       "conj-52-even")
 
@@ -744,3 +786,14 @@ def test_faulted_int_grid_lives_only_in_the_grid_scope(monkeypatch):
         assert seen == set(kinds) and cells.gi_frame is None
         assert all(gc.get_referrers(value) == [held]
                    for value in held.values())
+
+
+def test_grids_decided_on_residues_are_those_dividing_by_integers():
+    # the grid sets M only for integer statements whose every cell divides
+    # by an integer t; conj-54 first divides by a power of 2x + 1 and keeps
+    # the exact path, and other statements have no divisor
+    cells = [{"n": n, "alpha": 1, "m": 1, "r": 1} for n in (2, 3)]
+    assert congruence._grid_modulus("thm-int-plain", cells) == 120
+    assert congruence._grid_modulus("conj-54-ii", [{"n": 2, "m": 1}]) is None
+    assert congruence._grid_modulus("conj-54-iii", [{"n": 2}]) is None
+    assert congruence._grid_modulus("lemma-31", [{"d": 2}]) is None
